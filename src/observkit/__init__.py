@@ -14,9 +14,7 @@ from observkit.linalg import (
 )
 from observkit.lti import (
     StateSpaceModel,
-    SystemClass,
     Trace,
-    classify,
     make_model,
     simulate_forced,
     simulate_free,
@@ -46,12 +44,10 @@ __all__ = [
     "SingularGramianError",
     "SingularMatrixError",
     "StateSpaceModel",
-    "SystemClass",
     "Trace",
     "analyze",
     "build_cardio_model",
     "certify_cardio",
-    "classify",
     "expm",
     "gramian_ode",
     "gramian_quadrature",

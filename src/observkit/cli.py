@@ -30,13 +30,15 @@ from observkit.fileio import (
     save_model,
     save_trace,
 )
-from observkit.linalg import SingularMatrixError
 from observkit.lti import StateSpaceModel, simulate_forced, simulate_free
-from observkit.observability import (
+# perfbench/spans.py wraps reconstruct_initial_state and
+# reconstruction_normal_equations on this module, so both stay imported
+from observkit.observability import (  # noqa: F401
     ObservabilityReport,
     SingularGramianError,
     analyze,
     reconstruct_initial_state,
+    reconstruct_with_gramian,
     reconstruction_normal_equations,
 )
 
@@ -147,8 +149,7 @@ def _cmd_reconstruct(args) -> int:
     model = load_model(args.model)
     y = load_trace(args.trace)
     u = _load_input_trace(args, model)
-    x0 = reconstruct_initial_state(model, y, u, horizon=args.horizon)
-    gram, _ = reconstruction_normal_equations(model, y, u)
+    x0, gram = reconstruct_with_gramian(model, y, u, horizon=args.horizon)
     condition = float(np.linalg.cond(gram))
     doc = dump_vector_doc("x0", x0, {
         "horizon": y.duration,

@@ -140,13 +140,11 @@ def save_trace(trace: Trace, path: str) -> None:
     """Write a trace as CSV with header t,v1,...,vw."""
     width = trace.width
     header = "t," + ",".join(f"v{i + 1}" for i in range(width))
-    times = trace.times
-    lines = [header]
-    for k in range(trace.samples.shape[0]):
-        fields = [_fmt(times[k])] + [_fmt(x) for x in trace.samples[k]]
-        lines.append(",".join(fields))
+    table = np.column_stack([trace.times, trace.samples])
+    # one %-format over the whole table; "%.17g" prints what _fmt prints
+    row = ",".join(["%.17g"] * (width + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def load_trace(path: str) -> Trace:
@@ -154,7 +152,8 @@ def load_trace(path: str) -> Trace:
 
     The time column must be strictly increasing and uniformly spaced to
     a relative tolerance of 1e-9; at least two rows are required, since
-    a single row cannot determine the time step.
+    a single row cannot determine the time step.  Blank lines are
+    skipped, and fields may carry surrounding spaces.
 
     Raises:
         ParseError: with the offending line number.
@@ -164,42 +163,54 @@ def load_trace(path: str) -> Trace:
             raw_lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read trace file: {exc}") from None
-    lines = [(i + 1, line) for i, line in enumerate(raw_lines) if line.strip()]
-    if not lines:
+    rows = [line for line in raw_lines if line.strip()]
+    if not rows:
         raise ParseError(f"{path}: empty trace file")
-    header_no, header = lines[0]
-    fields = [f.strip() for f in header.split(",")]
+
+    def fail(row: int, message: str) -> ParseError:  # rows[row], by file line
+        line_no = [i + 1 for i, line in enumerate(raw_lines) if line.strip()][row]
+        return ParseError(f"{path}: line {line_no}: {message}")
+
+    def check_fields() -> None:  # raises at the first bad data row
+        for k, line in enumerate(rows[1:], 1):
+            parts = line.split(",")
+            if len(parts) != width + 1:
+                raise fail(k, f"expected {width + 1} fields, got {len(parts)}")
+            try:
+                row = [float(part) for part in parts]
+            except ValueError:
+                raise fail(k, "non-numeric field") from None
+            if not all(math.isfinite(x) for x in row):
+                raise fail(k, "non-finite value")
+
+    fields = [f.strip() for f in rows[0].split(",")]
     if len(fields) < 2 or fields[0] != "t":
-        raise ParseError(f"{path}: line {header_no}: header must be "
-                         f"'t,v1,...,vw', got {header!r}")
+        raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
     width = len(fields) - 1
-    times, samples = [], []
-    for line_no, line in lines[1:]:
-        parts = [f.strip() for f in line.split(",")]
-        if len(parts) != width + 1:
-            raise ParseError(f"{path}: line {line_no}: expected {width + 1} "
-                             f"fields, got {len(parts)}")
-        try:
-            row = [float(part) for part in parts]
-        except ValueError:
-            raise ParseError(f"{path}: line {line_no}: non-numeric field") from None
-        if not all(math.isfinite(x) for x in row):
-            raise ParseError(f"{path}: line {line_no}: non-finite value")
-        times.append(row[0])
-        samples.append(row[1:])
-    if len(times) < 2:
+    if len(rows) < 3:
+        check_fields()
         raise ParseError(f"{path}: need at least two samples to infer the "
-                         f"time step, got {len(times)}")
-    dt = times[1] - times[0]
+                         f"time step, got {len(rows) - 1}")
+    try:
+        table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        check_fields()
+        raise ParseError(f"{path}: {exc}") from None
+    if table.shape[1] != width + 1:
+        check_fields()  # raises: every row has the wrong field count
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise fail(int(np.argmin(finite)) + 1, "non-finite value")
+    times = table[:, 0]
+    dt = float(times[1] - times[0])
     if dt <= 0:
-        raise ParseError(f"{path}: line {lines[2][0]}: time column must be "
-                         f"strictly increasing")
-    for k in range(1, len(times)):
-        step = times[k] - times[k - 1]
-        if abs(step - dt) > 1e-9 * abs(dt):
-            raise ParseError(f"{path}: line {lines[k + 1][0]}: non-uniform "
-                             f"time step {step!r}, expected {dt!r}")
-    return Trace(t0=times[0], dt=dt, samples=np.array(samples))
+        raise fail(2, "time column must be strictly increasing")
+    steps = np.diff(times)
+    bad = np.flatnonzero(np.abs(steps - dt) > 1e-9 * abs(dt))
+    if bad.size:
+        raise fail(int(bad[0]) + 2, f"non-uniform time step "
+                   f"{float(steps[bad[0]])!r}, expected {dt!r}")
+    return Trace(t0=times[0], dt=dt, samples=table[:, 1:])
 
 
 def _gramian_doc(g: GramianResult) -> dict:

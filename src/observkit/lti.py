@@ -4,27 +4,26 @@ A model is the constant-coefficient triple (A, B, C) for
 
     dx/dt = A x + B u,        y = C x,
 
-with n states, p inputs, and q outputs.  Simulation steps the exact
+with n states, p inputs, and q outputs.  Simulation samples the exact
 solution x(t) = e^{At} x(0) + integral of e^{A(t-s)} B u(s) ds on a
 uniform grid; sampled inputs are interpreted as zero-order hold
 (constant between samples), which makes the per-step update exact up
-to matrix-exponential accuracy.
+to matrix-exponential accuracy.  Every grid recurrence runs on :func:`propagate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from observkit.linalg import ShapeMismatchError, as_matrix, as_vector, expm
+from observkit.linalg import NonFiniteError, ShapeMismatchError, as_matrix, as_vector, expm
 
 __all__ = [
     "StateSpaceModel",
-    "SystemClass",
     "Trace",
-    "classify",
     "make_model",
+    "propagate",
     "simulate_forced",
     "simulate_free",
     "transition_matrix",
@@ -69,12 +68,13 @@ class Trace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        t0, dt = float(self.t0), float(self.dt)
+        if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
+            raise ValueError(f"t0 must be finite and dt finite and positive, got {t0}, {dt}")
         samples = as_matrix(self.samples, "samples")
         samples.setflags(write=False)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -90,30 +90,6 @@ class Trace:
     def duration(self) -> float:
         """Length of the covered interval, (len - 1) * dt."""
         return self.dt * (self.samples.shape[0] - 1)
-
-
-@dataclass(frozen=True)
-class SystemClass:
-    """Classification flags: free (no input acting) and stationary
-    (constant coefficients).  Autonomous means both at once.
-
-    Only stationary systems are representable here, so ``stationary``
-    is always true in practice.
-    """
-
-    free: bool
-    stationary: bool
-    autonomous: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "autonomous", self.free and self.stationary)
-
-
-def classify(u: Trace | None) -> SystemClass:
-    """Classify a system by its input trace: ``None`` or an identically
-    zero trace makes it free, hence autonomous."""
-    free = u is None or not np.any(u.samples)
-    return SystemClass(free=free, stationary=True)
 
 
 def make_model(a, b, c, name: str = "") -> StateSpaceModel:
@@ -161,12 +137,36 @@ def _check_x0(m: StateSpaceModel, x0) -> np.ndarray:
     return x0
 
 
+def propagate(phi, v, stage: str) -> np.ndarray:
+    """Every state of x_{k+1} = Phi x_k + v_{k+1}, with x_0 = v_0.
+
+    Each of the N terms stacked along the first axis of ``v``, and so
+    each state, is a vector or an n x q block.  A Hillis-Steele scan adds
+    Phi^s x_{k-s} to every x_k for s = 1, 2, 4, ..., in ceil(log2 N)
+    vectorised passes.  A state that overflows raises NonFiniteError
+    naming ``stage`` and the step.
+    """
+    x = np.moveaxis(np.asarray(v, dtype=float), 1, -1).copy()  # blocks held as q x n
+    power, s = phi.T, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < len(x):
+            x[s:] += (x[:-s].reshape(-1, len(phi)) @ power).reshape(x[:-s].shape)
+            s *= 2
+            if s < len(x):
+                power = power @ power
+    finite = np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"{stage}: the state is no longer finite at step {np.argmin(finite)} "
+                             f"of {len(x) - 1}; the model grows too fast for this grid")
+    return np.moveaxis(x, -1, 1)
+
+
 def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
                   steps: int = 1000) -> tuple[Trace, Trace]:
     """Free response (no input) on a uniform grid.
 
-    One transition matrix Phi(dt) is computed and applied repeatedly,
-    so sample k equals exp(A k dt) x0 up to exponential accuracy.
+    Sample k is Phi(dt)^k x0 from :func:`propagate`, so it equals
+    exp(A k dt) x0 up to exponential accuracy.
 
     Returns:
         (x trace, y trace), each with steps + 1 samples.
@@ -177,16 +177,10 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    phi = expm(m.a, dt)
-    xs = np.empty((steps + 1, m.n))
-    ys = np.empty((steps + 1, m.q))
-    x = x0
-    for k in range(steps + 1):
-        xs[k] = x
-        ys[k] = m.c @ xs[k]
-        if k < steps:
-            x = phi @ x
-    return Trace(t0, dt, xs), Trace(t0, dt, ys)
+    v = np.zeros((steps + 1, m.n))
+    v[0] = x0
+    xs = propagate(expm(m.a, dt), v, "simulate")
+    return Trace(t0, dt, xs), Trace(t0, dt, xs @ m.c.T)
 
 
 def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +205,9 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     """Forced response under a sampled input, zero-order-hold semantics.
 
     The input is held constant on each [t_k, t_{k+1}), which admits the
-    exact per-step update x_{k+1} = A_d x_k + B_d u_k.  The returned
-    traces share the input's grid.  An identically zero input reduces
-    to :func:`simulate_free`.
+    exact per-step update x_{k+1} = A_d x_k + B_d u_k, run by
+    :func:`propagate`.  The returned traces share the input's grid.  An
+    identically zero input reduces to :func:`simulate_free`.
     """
     x0 = _check_x0(m, x0)
     if u.width != m.p:
@@ -222,12 +216,6 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     if not np.any(u.samples):
         return simulate_free(m, x0, u.t0, u.dt, steps)
     ad, bd = zoh_discretize(m.a, m.b, u.dt)
-    xs = np.empty((steps + 1, m.n))
-    ys = np.empty((steps + 1, m.q))
-    x = x0
-    for k in range(steps + 1):
-        xs[k] = x
-        ys[k] = m.c @ xs[k]
-        if k < steps:
-            x = ad @ x + bd @ u.samples[k]
-    return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, ys)
+    v = np.vstack([x0, u.samples[:-1] @ bd.T])
+    xs = propagate(ad, v, "simulate")
+    return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, xs @ m.c.T)

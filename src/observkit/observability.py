@@ -24,15 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from observkit.linalg import (
-    EPS,
+    NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
     expm,
-    is_positive_definite,
+    is_positive_definite,  # noqa: F401  (perfbench/spans.py wraps it on this module)
     rank,
     solve,
 )
-from observkit.lti import StateSpaceModel, Trace, simulate_forced
+from observkit.lti import StateSpaceModel, Trace, propagate, simulate_forced
 
 __all__ = [
     "GramianResult",
@@ -44,6 +44,7 @@ __all__ = [
     "observability_matrix",
     "rank_test",
     "reconstruct_initial_state",
+    "reconstruct_with_gramian",
     "reconstruction_normal_equations",
 ]
 
@@ -123,13 +124,10 @@ def _finish_gramian(gram: np.ndarray, horizon: float, method: str,
     sym = 0.5 * (gram + gram.T)
     sym.setflags(write=False)
     smallest = float(np.linalg.eigvalsh(sym)[0])
-    return GramianResult(
-        gramian=sym,
-        horizon=horizon,
-        method=method,
-        positive_definite=is_positive_definite(sym, pd_tol),
-        min_pivot_or_eig=smallest,
-    )
+    scale = float(np.max(np.abs(np.diag(sym))))  # as in linalg.is_positive_definite
+    return GramianResult(gramian=sym, horizon=horizon, method=method,
+                         positive_definite=smallest > pd_tol * scale,
+                         min_pivot_or_eig=smallest)
 
 
 def _simpson_weights(intervals: int, h: float) -> np.ndarray:
@@ -159,14 +157,29 @@ def _simpson_weights(intervals: int, h: float) -> np.ndarray:
     return w * h
 
 
+def _weighted_sums(m: StateSpaceModel, h: float, weights: np.ndarray, stage: str,
+                   samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over grid nodes k of w_k R_k^T R_k and of w_k R_k^T y_k, one
+    product each, with every R_k = C Phi(h)^k from one :func:`propagate`."""
+    v = np.zeros((weights.size, m.n, m.q))
+    v[0] = m.c.T
+    rows = np.moveaxis(propagate(expm(m.a, h).T, v, stage), 1, -1).reshape(-1, m.n)
+    w = np.repeat(weights, m.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, moment = rows.T @ (w[:, None] * rows), rows.T @ (w * samples.ravel())
+    if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+        raise NonFiniteError(f"{stage}: the Gramian sums overflow over "
+                             f"[0, {h * (weights.size - 1):.6g}]")
+    return gram, moment
+
+
 def gramian_quadrature(m: StateSpaceModel, horizon: float,
                        intervals: int = ANALYSIS_INTERVALS,
                        pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
     """Gramian by composite Simpson quadrature on an even grid.
 
-    The integrand e^{A^T s} C^T C e^{A s} is evaluated by advancing one
-    per-node factor Phi(h), so the whole integral needs a single matrix
-    exponential.
+    The integrand e^{A^T s} C^T C e^{A s} at node k is R_k^T R_k with
+    R_k = C Phi(h)^k, so the whole integral needs one matrix exponential.
 
     Args:
         m: the model.
@@ -182,15 +195,8 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     if intervals < 2 or intervals % 2:
         raise ValueError(f"intervals must be even and >= 2, got {intervals}")
     h = horizon / intervals
-    weights = _simpson_weights(intervals, h)
-    ctc = m.c.T @ m.c
-    phi_h = expm(m.a, h)
-    f = np.eye(m.n)
-    gram = np.zeros((m.n, m.n))
-    for k in range(intervals + 1):
-        gram += weights[k] * (f.T @ ctc @ f)
-        if k < intervals:
-            f = f @ phi_h
+    gram, _ = _weighted_sums(m, h, _simpson_weights(intervals, h), "quadrature",
+                             np.zeros((intervals + 1, m.q)))
     return _finish_gramian(gram, horizon, "quadrature", pd_tol)
 
 
@@ -248,27 +254,18 @@ def reconstruction_normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gramian and moment vector for initial-state recovery, on the trace's grid.
 
-    Both sides use the same quadrature weights, so for noiseless data
-    the solve returns x0 up to rounding regardless of quadrature error:
-    the weighted sums satisfy gram @ x0 = moment identically when
-    y(t_k) = C e^{A t_k} x0.
+    With R_k = C Phi(dt)^k and w_k the Simpson weights, gram sums
+    w_k R_k^T R_k and moment sums w_k R_k^T y_k.  Both sides use the same
+    weights, so for noiseless data the solve returns x0 up to rounding
+    regardless of quadrature error: the weighted sums satisfy
+    gram @ x0 = moment identically when y(t_k) = C e^{A t_k} x0.
 
     Returns:
         (gram, moment) with gram symmetric n x n and moment length n.
     """
     samples = _free_output(m, y, u)
-    intervals = samples.shape[0] - 1
-    weights = _simpson_weights(intervals, y.dt)
-    ctc = m.c.T @ m.c
-    phi = expm(m.a, y.dt)
-    f = np.eye(m.n)
-    gram = np.zeros((m.n, m.n))
-    moment = np.zeros(m.n)
-    for k in range(intervals + 1):
-        gram += weights[k] * (f.T @ ctc @ f)
-        moment += weights[k] * (f.T @ (m.c.T @ samples[k]))
-        if k < intervals:
-            f = f @ phi
+    weights = _simpson_weights(samples.shape[0] - 1, y.dt)
+    gram, moment = _weighted_sums(m, y.dt, weights, "reconstruct", samples)
     return 0.5 * (gram + gram.T), moment
 
 
@@ -293,6 +290,13 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
             horizon, i.e. the model is not completely observable.
         ValueError: trace/horizon mismatch or a degenerate trace.
     """
+    return reconstruct_with_gramian(m, y, u, horizon)[0]
+
+
+def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = None,
+                             horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reconstruct_initial_state`, also returning the symmetric
+    Gramian of the normal equations it solved, as (x0, gram)."""
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
@@ -301,7 +305,7 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)
     try:
-        return solve(gram, moment)
+        return solve(gram, moment), gram
     except SingularMatrixError as exc:
         raise SingularGramianError(
             f"observability Gramian is singular over [0, {y.duration:.6g}]: "

@@ -43,3 +43,12 @@ def random_unobservable_model(
     c = np.hstack([rng.uniform(-2.0, 2.0, (r, r)), np.zeros((r, n - r))])
     b = rng.standard_normal((n, 1))
     return make_model(a, b, c), r
+
+
+def unstable_saddle_model() -> tuple[StateSpaceModel, np.ndarray]:
+    """A = Q diag(50, -1) Q^T with Q a rotation: one mode grows as e^{50t}
+    and one decays as e^{-t}, so long grids overflow.  Returns (model, Q),
+    whose columns are the growing and the decaying eigenvector."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    q = np.array([[c, -s], [s, c]])
+    return make_model(q @ np.diag([50.0, -1.0]) @ q.T, [[0.0], [1.0]], [[1.0, 0.0]]), q

@@ -121,6 +121,50 @@ def test_load_trace_accepts_spaced_fields(tmp_path):
     np.testing.assert_array_equal(back.samples, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_trace_writer_matches_per_field_formatting(tmp_path):
+    # the writer formats the whole table at once; it must print exactly
+    # what format(x, ".17g") prints field by field
+    rng = np.random.default_rng(63)
+    awkward = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.0]
+    values = np.concatenate([awkward, rng.standard_normal(500),
+                             rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+    trace = Trace(-0.25, 0.1, values.reshape(-1, 2))
+    path = tmp_path / "trace.csv"
+    save_trace(trace, str(path))
+    want = ["t,v1,v2"] + [",".join(format(float(x), ".17g") for x in (t, *row))
+                          for t, row in zip(trace.times, trace.samples)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_load_trace_skips_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n t , v1 \n\n0, 1\n   \n\t\n0.5 ,2 \n\n")
+    back = load_trace(str(path))
+    assert (back.t0, back.dt) == (0.0, 0.5)
+    np.testing.assert_array_equal(back.samples, [[1.0], [2.0]])
+
+
+def test_load_trace_errors_name_file_lines_past_blank_lines(tmp_path):
+    # each error must name the line in the file, counting the blank and
+    # whitespace-only lines the parser skips
+    head = "\n t, v1 \n\n0, 1\n  \n0.5, 2\n\n"
+    cases = {
+        "line 2: header must be": "\n x, y \n0,1\n1,2\n",
+        "line 9: expected 2 fields, got 3": head + "1, 3\n1.5, 4, 5\n",
+        "line 9: non-numeric field": head + "1, 3\n1.5, four\n",
+        "line 9: non-finite value": head + "1, 3\n1.5, nan\n",
+        "line 6: time column must be strictly increasing": head.replace("0.5", "-0.5"),
+        "line 9: non-uniform time step 0.75, expected 0.5": head + "1, 3\n1.75, 4\n",
+        "line 8: non-finite value": head + " 1 ,-inf\n1.5, four\n",
+    }
+    for expected, text in cases.items():
+        path = tmp_path / "case.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=expected):
+            load_trace(str(path))
+
+
 def test_load_trace_errors(tmp_path):
     cases = {
         "empty trace file": "",

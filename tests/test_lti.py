@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from observkit.linalg import ShapeMismatchError
+from helpers import unstable_saddle_model
+from observkit.linalg import NonFiniteError, ShapeMismatchError
 from observkit.lti import (
-    SystemClass,
     Trace,
-    classify,
     make_model,
+    propagate,
     simulate_forced,
     simulate_free,
     transition_matrix,
@@ -55,14 +57,11 @@ def test_trace_validation_and_metadata():
         Trace(0.0, -1.0, [[1.0]])
 
 
-def test_classification_flags():
-    assert classify(None) == SystemClass(free=True, stationary=True)
-    assert classify(None).autonomous
-    zero = Trace(0.0, 0.1, np.zeros((5, 1)))
-    assert classify(zero).free
-    driven = Trace(0.0, 0.1, np.ones((5, 1)))
-    flags = classify(driven)
-    assert not flags.free and flags.stationary and not flags.autonomous
+def test_trace_rejects_non_finite_grid():
+    for t0, dt in ((float("nan"), 0.1), (float("inf"), 0.1), (0.0, float("inf")),
+                   (0.0, float("nan")), (float("nan"), float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Trace(t0, dt, [[1.0]])
 
 
 def test_transition_matrix_at_zero_is_identity():
@@ -226,3 +225,72 @@ def test_simulate_forced_matches_rk4_oracle():
         ref = _rk4_forced(a, b, x0, u.samples, u.dt)
         err = np.linalg.norm(xs.samples - ref) / np.linalg.norm(ref)
         assert err <= 1e-6
+
+
+def _loop_states(phi, v):
+    x = [v[0]]
+    for term in v[1:]:
+        x.append(phi @ x[-1] + term)
+    return np.array(x)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 1025])
+@pytest.mark.parametrize("block", [(), (2,)])
+def test_propagate_matches_plain_loop(length, block):
+    rng = np.random.default_rng(length)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    phi = 0.999 * q + 1e-3 * rng.standard_normal((3, 3))
+    v = rng.standard_normal((length, 3, *block))
+    got = propagate(phi, v, "test")
+    assert got.shape == v.shape
+    np.testing.assert_allclose(got, _loop_states(phi, v), rtol=0, atol=1e-11)
+
+
+def test_simulate_overflow_names_stage_and_step():
+    m, q = unstable_saddle_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"simulate: .* step 14\d\d of 2000"):
+            simulate_free(m, q[:, 0], 0.0, 0.01, 2000)
+        u = Trace(0.0, 0.01, np.ones((2001, 1)))
+        with pytest.raises(NonFiniteError, match="simulate: .* of 2000"):
+            simulate_forced(m, q[:, 1], u)
+
+
+def test_stable_start_stays_finite_without_warnings():
+    # the scan's last stride on 1100 samples is 1024; Phi^2048 would
+    # overflow, though every state stays finite
+    m, q = unstable_saddle_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, _ = simulate_free(m, q[:, 1], 0.0, 0.01, 1099)
+    assert np.isfinite(xs.samples).all()
+    # rounding seeds the growing mode, so only the start tracks e^{-t}
+    np.testing.assert_allclose(xs.samples[:20] @ q[:, 1], np.exp(-xs.times[:20]),
+                               rtol=1e-9)
+
+
+def test_simulate_forced_matches_expm_oracle_across_holds():
+    # the drive is held for 1-5 samples at a time; at each hold boundary
+    # the exact state is one exponential of the augmented matrix over the
+    # whole hold, which shares no stepping with the simulation
+    sla = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(43)
+    n, p, dt = 3, 2, 0.05
+    m = make_model(rng.standard_normal((n, n)) - np.eye(n),
+                   rng.standard_normal((n, p)), rng.standard_normal((1, n)))
+    holds = rng.integers(1, 6, 40)
+    levels = rng.standard_normal((40, p))
+    u = Trace(0.0, dt, np.vstack([np.repeat(levels, holds, axis=0), levels[-1:]]))
+    aug = np.zeros((n + p, n + p))
+    aug[:n, :n] = m.a
+    aug[:n, n:] = m.b
+    x0 = rng.standard_normal(n)
+    want = [x0]
+    for length, level in zip(holds, levels):
+        want.append(sla.expm(aug * (length * dt))[:n] @ np.concatenate([want[-1], level]))
+    xs, ys = simulate_forced(m, x0, u)
+    boundaries = np.concatenate([[0], np.cumsum(holds)])
+    np.testing.assert_allclose(xs.samples[boundaries], want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ys.samples[boundaries], np.array(want) @ m.c.T,
+                               rtol=0, atol=1e-12)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import random_observable_model, random_unobservable_model
-from observkit.linalg import ShapeMismatchError, rank
+from helpers import random_observable_model, random_unobservable_model, unstable_saddle_model
+from observkit.linalg import NonFiniteError, ShapeMismatchError, is_positive_definite, rank
 from observkit.lti import Trace, make_model, simulate_forced, simulate_free
 from observkit.observability import (
     SingularGramianError,
@@ -12,6 +14,7 @@ from observkit.observability import (
     observability_matrix,
     rank_test,
     reconstruct_initial_state,
+    reconstruct_with_gramian,
     reconstruction_normal_equations,
 )
 
@@ -101,6 +104,39 @@ def test_gramian_quadrature_rejects_bad_arguments():
         gramian_quadrature(m, 1.0, intervals=7)
     with pytest.raises(ValueError):
         gramian_quadrature(m, 1.0, intervals=0)
+
+
+def test_gramian_verdict_matches_is_positive_definite():
+    rng = np.random.default_rng(59)
+    models = [table_model(), HIDDEN_MODEL]
+    for n in (2, 5, 8, 12, 16):
+        models.append(random_observable_model(rng, n))
+        models.append(random_unobservable_model(rng, n)[0])
+        models.append(make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                                 rng.standard_normal((1, n))))
+    verdicts = set()
+    for m in models:
+        for tol in (1e-14, 1e-10, 1e-6):
+            for g in (gramian_quadrature(m, 1.0, 200, tol), gramian_ode(m, 1.0, 200, tol)):
+                assert g.positive_definite == is_positive_definite(g.gramian, tol)
+                assert g.min_pivot_or_eig == np.linalg.eigvalsh(g.gramian)[0]
+                verdicts.add(g.positive_definite)
+    assert verdicts == {True, False}
+
+
+def test_overflow_names_the_stage():
+    m, _ = unstable_saddle_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"quadrature: .* step 14\d\d of 2000"):
+            gramian_quadrature(m, 20.0, 2000)
+        # finite row blocks whose squares overflow the sums
+        with pytest.raises(NonFiniteError, match=r"quadrature: .*overflow over \[0, 10\]"):
+            gramian_quadrature(m, 10.0, 1000)
+        with pytest.raises(NonFiniteError, match=r"reconstruct: .* step 14\d\d of 2000"):
+            reconstruct_initial_state(m, Trace(0.0, 0.01, np.zeros((2001, 1))))
+        with pytest.raises(NonFiniteError, match="quadrature"):
+            analyze(m, 20.0)
 
 
 def test_gramian_ode_constant_integrand():
@@ -277,6 +313,17 @@ def test_normal_equations_match_direct_gramian():
     gram, _ = reconstruction_normal_equations(m, ys)
     direct = gramian_quadrature(m, 1.0, 100).gramian
     np.testing.assert_allclose(gram, direct, rtol=1e-12)
+
+
+def test_reconstruct_with_gramian_returns_the_solved_system():
+    m = table_model()
+    u = Trace(0.0, 1e-2, np.sin(np.arange(101.0))[:, None])
+    _, ys = simulate_forced(m, [0.3, -1.0], u)
+    x0, gram = reconstruct_with_gramian(m, ys, u, horizon=1.0)
+    want_gram, moment = reconstruction_normal_equations(m, ys, u)
+    np.testing.assert_array_equal(gram, want_gram)
+    np.testing.assert_array_equal(x0, reconstruct_initial_state(m, ys, u))
+    np.testing.assert_allclose(gram @ x0, moment, rtol=1e-12)
 
 
 def test_analyze_table_certificate():
