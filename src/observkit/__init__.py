@@ -7,10 +7,8 @@ from observkit.linalg import (
     SingularMatrixError,
     expm,
     is_positive_definite,
-    matmul,
     rank,
     solve,
-    transpose,
 )
 from observkit.lti import (
     StateSpaceModel,
@@ -53,7 +51,6 @@ __all__ = [
     "gramian_quadrature",
     "is_positive_definite",
     "make_model",
-    "matmul",
     "observability_matrix",
     "rank",
     "rank_test",
@@ -62,5 +59,4 @@ __all__ = [
     "simulate_free",
     "solve",
     "transition_matrix",
-    "transpose",
 ]

@@ -30,11 +30,12 @@ from observkit.fileio import (
     save_model,
     save_trace,
 )
+from observkit.linalg import DEFAULT_PD_TOL
 from observkit.lti import StateSpaceModel, simulate_forced, simulate_free
 # perfbench/spans.py wraps reconstruct_initial_state and
 # reconstruction_normal_equations on this module, so both stay imported
 from observkit.observability import (  # noqa: F401
-    ObservabilityReport,
+    ANALYSIS_INTERVALS,
     SingularGramianError,
     analyze,
     reconstruct_initial_state,
@@ -83,14 +84,18 @@ def _parse_x0(text: str) -> np.ndarray:
         raise _UsageError(f"--x0 must be a comma-separated number list, got {text!r}") from None
 
 
-def _report_verdict(report: ObservabilityReport, name: str) -> int:
-    """Print the human verdict to stderr; return the exit code."""
+def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
+    """Analyze ``model`` with the tolerance flags, emit the report, print the
+    human verdict to stderr; return the exit code."""
+    report = analyze(model, args.horizon, rank_tol=args.rank_tol,
+                     pd_tol=args.pd_tol, intervals=args.intervals)
+    _emit_doc(dump_report(report, model.name), out_path)
     observable = report.kalman_observable and report.gramian_observable
     if not report.consistent:
         _status(_style(
             "warning: Kalman rank and Gramian verdicts disagree; "
             "re-run with tighter tolerances or a longer horizon", "yellow"))
-    label = name or "model"
+    label = model.name or "model"
     horizon = report.gramian.horizon
     if observable:
         _status(_style(
@@ -105,11 +110,7 @@ def _report_verdict(report: ObservabilityReport, name: str) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    model = load_model(args.model)
-    report = analyze(model, args.horizon, rank_tol=args.rank_tol,
-                     pd_tol=args.pd_tol, intervals=args.intervals)
-    _emit_doc(dump_report(report, model.name), args.out)
-    return _report_verdict(report, model.name)
+    return _certify(args, load_model(args.model), args.out)
 
 
 def _load_input_trace(args, model: StateSpaceModel):
@@ -172,18 +173,15 @@ def _cmd_cardio(args) -> int:
     if args.out:
         save_model(model, args.out)
         _status(f"wrote {args.out}")
-    report = analyze(model, args.horizon, rank_tol=args.rank_tol,
-                     pd_tol=args.pd_tol, intervals=args.intervals)
-    sys.stdout.write(dump_report(report, model.name))
-    return _report_verdict(report, model.name)
+    return _certify(args, model, None)
 
 
 def _add_tolerance_flags(sub) -> None:
     sub.add_argument("--rank-tol", type=float, default=None,
                      help="relative rank tolerance (default: eps * max dimension)")
-    sub.add_argument("--pd-tol", type=float, default=1e-10,
+    sub.add_argument("--pd-tol", type=float, default=DEFAULT_PD_TOL,
                      help="relative eigenvalue threshold for positive definiteness")
-    sub.add_argument("--intervals", type=int, default=200,
+    sub.add_argument("--intervals", type=int, default=ANALYSIS_INTERVALS,
                      help="Simpson intervals for the Gramian quadrature (even)")
 
 

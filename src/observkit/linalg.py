@@ -16,15 +16,15 @@ __all__ = [
     "SingularMatrixError",
     "as_matrix",
     "as_vector",
+    "definiteness",
     "expm",
     "is_positive_definite",
-    "matmul",
     "rank",
     "solve",
-    "transpose",
 ]
 
 EPS = float(np.finfo(float).eps)
+DEFAULT_PD_TOL = 1e-10
 
 
 class ShapeMismatchError(ValueError):
@@ -69,21 +69,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def transpose(m) -> np.ndarray:
-    """Transpose; with real entries this is also the conjugate transpose."""
-    return as_matrix(m).T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
 # Degree-6 diagonal Pade coefficients for exp(x), scaled to integers.
 _PADE6 = (479001600.0, 239500800.0, 54432000.0, 7257600.0,
           604800.0, 30240.0, 720.0)
@@ -121,40 +106,50 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return f
 
 
+def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, float]:
+    """Singular values of ``m``, largest first, and the relative threshold
+    they are judged by: ``rel_tol``, by default machine epsilon times the
+    larger dimension."""
+    if rel_tol is None:
+        rel_tol = EPS * max(m.shape)
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol
+
+
 def rank(m, rel_tol: float | None = None) -> int:
     """Numerical rank: singular values above ``rel_tol`` times the largest.
 
     The default tolerance is machine epsilon times the larger dimension.
     """
-    m = as_matrix(m)
-    if rel_tol is None:
-        rel_tol = EPS * max(m.shape)
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
+    s, rel_tol = _singular_values(as_matrix(m), rel_tol)
+    if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def is_positive_definite(m, tol: float = 1e-10) -> bool:
-    """Whether the symmetrized input is positive definite.
+def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
+    """Symmetrize a nonempty square matrix as (m + m.T)/2 and test it.
 
-    The input is symmetrized as (m + m.T)/2 first, since matrices that are
-    symmetric only to rounding are the common case.  True iff the smallest
-    eigenvalue exceeds ``tol`` times the largest diagonal magnitude.
+    Returns (symmetrized matrix, verdict, smallest eigenvalue); the verdict
+    is true iff the smallest eigenvalue exceeds ``tol`` times the largest
+    diagonal magnitude.
+    """
+    sym = 0.5 * (m + m.T)
+    smallest = float(np.linalg.eigvalsh(sym)[0])
+    return sym, smallest > tol * float(np.max(np.abs(np.diag(sym)))), smallest
+
+
+def is_positive_definite(m, tol: float = DEFAULT_PD_TOL) -> bool:
+    """Whether the symmetrized input is positive definite, by :func:`definiteness`.
+
+    Symmetrizing first matters since matrices that are symmetric only to
+    rounding are the common case.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"definiteness test needs a square matrix, got {m.shape}")
-    if m.size == 0:
-        return False
-    sym = 0.5 * (m + m.T)
-    smallest = float(np.linalg.eigvalsh(sym)[0])
-    scale = float(np.max(np.abs(np.diag(sym))))
-    return smallest > tol * scale
+    return m.size > 0 and definiteness(m, tol)[1]
 
 
 def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
@@ -162,7 +157,8 @@ def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
 
     Raises :class:`SingularMatrixError` (carrying a condition estimate)
     when the smallest singular value falls below ``rel_tol`` times the
-    largest; default tolerance as in :func:`rank`.
+    largest; default tolerance, and ``ValueError`` when it is not
+    positive, as in :func:`rank`.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -175,9 +171,7 @@ def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
             f"right-hand side has {rhs_arr.shape[0]} rows, matrix is {m.shape[0]}x{m.shape[1]}")
     if rhs_arr.size and not np.isfinite(rhs_arr).all():
         raise NonFiniteError("right-hand side contains non-finite entries")
-    if rel_tol is None:
-        rel_tol = EPS * max(m.shape)
-    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    s, rel_tol = _singular_values(m, rel_tol)
     smax = float(s[0]) if s.size else 0.0
     smin = float(s[-1]) if s.size else 0.0
     if smax == 0.0 or smin <= rel_tol * smax:

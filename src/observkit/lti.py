@@ -145,14 +145,20 @@ def propagate(phi, v, stage: str) -> np.ndarray:
     Phi^s x_{k-s} to every x_k for s = 1, 2, 4, ..., in ceil(log2 N)
     vectorised passes.  A state that overflows raises NonFiniteError
     naming ``stage`` and the step.
+
+    States before the first nonzero term are exactly zero, so the scan
+    starts there: on a long grid Phi^s may overflow, and inf * 0 would
+    turn a zero state into NaN.
     """
     x = np.moveaxis(np.asarray(v, dtype=float), 1, -1).copy()  # blocks held as q x n
+    nonzero = x.reshape(-1) != 0
+    tail = x[nonzero.argmax() // x[0].size if nonzero.any() else len(x):]
     power, s = phi.T, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while s < len(x):
-            x[s:] += (x[:-s].reshape(-1, len(phi)) @ power).reshape(x[:-s].shape)
+        while s < len(tail):
+            tail[s:] += (tail[:-s].reshape(-1, len(phi)) @ power).reshape(tail[:-s].shape)
             s *= 2
-            if s < len(x):
+            if s < len(tail):
                 power = power @ power
     finite = np.isfinite(x.reshape(len(x), -1)).all(axis=1)
     if not finite.all():

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from observkit.linalg import (
+    DEFAULT_PD_TOL,
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    definiteness,
     expm,
     is_positive_definite,  # noqa: F401  (perfbench/spans.py wraps it on this module)
     rank,
@@ -48,10 +50,7 @@ __all__ = [
     "reconstruction_normal_equations",
 ]
 
-DEFAULT_PD_TOL = 1e-10
 ANALYSIS_INTERVALS = 200
-RECONSTRUCTION_INTERVALS = 1000
-ODE_STEPS = 1000
 
 
 class SingularGramianError(SingularMatrixError):
@@ -121,13 +120,10 @@ def _check_horizon(horizon: float) -> float:
 
 def _finish_gramian(gram: np.ndarray, horizon: float, method: str,
                     pd_tol: float) -> GramianResult:
-    sym = 0.5 * (gram + gram.T)
+    sym, positive_definite, smallest = definiteness(gram, pd_tol)
     sym.setflags(write=False)
-    smallest = float(np.linalg.eigvalsh(sym)[0])
-    scale = float(np.max(np.abs(np.diag(sym))))  # as in linalg.is_positive_definite
     return GramianResult(gramian=sym, horizon=horizon, method=method,
-                         positive_definite=smallest > pd_tol * scale,
-                         min_pivot_or_eig=smallest)
+                         positive_definite=positive_definite, min_pivot_or_eig=smallest)
 
 
 def _simpson_weights(intervals: int, h: float) -> np.ndarray:
@@ -200,7 +196,7 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     return _finish_gramian(gram, horizon, "quadrature", pd_tol)
 
 
-def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = ODE_STEPS,
+def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
                 pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
     """Gramian by RK4 integration of dW/dt = A^T W + W A + C^T C from W(0) = 0.
 
@@ -318,8 +314,7 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
 def analyze(m: StateSpaceModel, horizon: float,
             rank_tol: float | None = None,
             pd_tol: float = DEFAULT_PD_TOL,
-            intervals: int = ANALYSIS_INTERVALS,
-            ode_steps: int = ODE_STEPS) -> ObservabilityReport:
+            intervals: int = ANALYSIS_INTERVALS) -> ObservabilityReport:
     """Run the rank test and both Gramian routes; return the full certificate.
 
     The Gramian verdict carried in ``gramian_observable`` comes from the
@@ -332,7 +327,7 @@ def analyze(m: StateSpaceModel, horizon: float,
     r = rank(obs, rank_tol)
     kalman_observable = r == m.n
     quad = gramian_quadrature(m, horizon, intervals, pd_tol)
-    ode = gramian_ode(m, horizon, ode_steps, pd_tol)
+    ode = gramian_ode(m, horizon, pd_tol=pd_tol)
     gramian_observable = quad.positive_definite
     return ObservabilityReport(
         kalman_rank=r,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from observkit.cli import _style, main
-from observkit.fileio import load_model, load_trace, save_model, save_trace
+from observkit.cardio import CardioParams, build_cardio_model
+from observkit.cli import _style, build_parser, main
+from observkit.fileio import dump_report, load_model, load_trace, save_model, save_trace
 from observkit.lti import Trace, make_model
+from observkit.observability import analyze
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +73,26 @@ def test_analyze_observable_model(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["kalman_rank"] == 2
     assert doc["consistent"] is True
+
+
+def test_default_flags_match_library_defaults(tmp_path, capsys):
+    # no tolerance flags: the report must be the library's default analysis
+    model_path = cardio_model_file(tmp_path, stiffness=3.0)
+    assert main(["analyze", "--model", model_path, "--horizon", "2"]) == 0
+    out, _ = capsys.readouterr()
+    model = load_model(model_path)
+    assert out == dump_report(analyze(model, 2.0), model.name)
+    assert main(["cardio", "--mass", "2", "--damping", "0.5", "--stiffness", "3"]) == 0
+    out, _ = capsys.readouterr()
+    model = build_cardio_model(CardioParams(mass=2.0, damping=0.5, stiffness=3.0))
+    assert out == dump_report(analyze(model, 1.0), model.name)
+    # the report shows pd_tol only through verdicts, so compare it directly
+    library = inspect.signature(analyze).parameters
+    for argv in (["analyze", "--model", model_path],
+                 ["cardio", "--mass", "1", "--stiffness", "1"]):
+        args = build_parser().parse_args(argv)
+        for flag in ("rank_tol", "pd_tol", "intervals"):
+            assert getattr(args, flag) == library[flag].default
 
 
 def test_analyze_writes_report_file(tmp_path, capsys):

@@ -9,10 +9,8 @@ from observkit.linalg import (
     as_vector,
     expm,
     is_positive_definite,
-    matmul,
     rank,
     solve,
-    transpose,
 )
 
 
@@ -25,39 +23,6 @@ def test_as_matrix_rejects_ragged_and_nonfinite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(NonFiniteError):
         as_vector([np.inf, 0.0])
-
-
-def test_transpose_mass_spring_matrix():
-    # A for the damped mass-spring table with M=1, beta=0.5, gamma=2
-    a = [[0.0, 1.0], [-2.0, -0.5]]
-    np.testing.assert_array_equal(transpose(a), [[0.0, -2.0], [1.0, -0.5]])
-
-
-def test_transpose_identity_and_shapes():
-    np.testing.assert_array_equal(transpose(np.eye(3)), np.eye(3))
-    row = [[1.0, 2.0, 3.0]]
-    col = transpose(row)
-    assert col.shape == (3, 1)
-    np.testing.assert_array_equal(col, [[1.0], [2.0], [3.0]])
-
-
-def test_matmul_identity_and_nilpotent():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(np.eye(2), x), x)
-    nil = [[0.0, 1.0], [0.0, 0.0]]
-    np.testing.assert_array_equal(matmul(nil, nil), np.zeros((2, 2)))
-
-
-def test_matmul_velocity_sensor_oracle():
-    # A^T C^T for the undamped unit oscillator: [[0,-1],[1,0]] @ [[0],[1]]
-    at = [[0.0, -1.0], [1.0, 0.0]]
-    ct = [[0.0], [1.0]]
-    np.testing.assert_array_equal(matmul(at, ct), [[-1.0], [0.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeMismatchError, match="2x2 by 3x1"):
-        matmul(np.eye(2), np.ones((3, 1)))
 
 
 def test_expm_zero_matrix_is_identity():
@@ -152,6 +117,10 @@ def test_rank_matches_transpose_rank():
 def test_rank_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         rank(np.eye(2), rel_tol=0.0)
+    for tol in (0.0, -1e-3):
+        for m in (np.eye(2), [[1.0, 2.0], [2.0, 4.0]]):
+            with pytest.raises(ValueError, match="rel_tol must be positive"):
+                solve(m, [1.0, 1.0], rel_tol=tol)
 
 
 def test_positive_definite_examples():
@@ -203,7 +172,7 @@ def test_solve_multiply_round_trip():
     for _ in range(10):
         m = rng.standard_normal((5, 5)) + 5 * np.eye(5)
         b = rng.standard_normal((5, 2))
-        np.testing.assert_allclose(matmul(m, solve(m, b)), b, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m @ solve(m, b), b, rtol=0, atol=1e-10)
 
 
 def test_solve_singular_error_carries_diagnostics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import unstable_saddle_model
-from observkit.linalg import NonFiniteError, ShapeMismatchError
+from observkit.linalg import NonFiniteError, ShapeMismatchError, expm
 from observkit.lti import (
     Trace,
     make_model,
@@ -255,6 +255,23 @@ def test_simulate_overflow_names_stage_and_step():
         u = Trace(0.0, 0.01, np.ones((2001, 1)))
         with pytest.raises(NonFiniteError, match="simulate: .* of 2000"):
             simulate_forced(m, q[:, 1], u)
+
+
+def test_zero_start_stays_zero_where_powers_overflow():
+    # Phi^2048 overflows on this grid; a zero state must not become inf * 0
+    m, _ = unstable_saddle_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = simulate_free(m, [0.0, 0.0], 0.0, 0.01, 3000)
+        with pytest.raises(NonFiniteError, match=r"simulate: .* step 1420 of 3000"):
+            simulate_free(m, [1.0, 0.0], 0.0, 0.01, 3000)
+        # the same start 100 terms later: the scan skips the zero prefix,
+        # but the error still counts steps from the first term
+        v = np.zeros((3101, 2))
+        v[100] = (1.0, 0.0)
+        with pytest.raises(NonFiniteError, match=r"simulate: .* step 1520 of 3100"):
+            propagate(expm(m.a, 0.01), v, "simulate")
+    assert not xs.samples.any() and not ys.samples.any()
 
 
 def test_stable_start_stays_finite_without_warnings():
