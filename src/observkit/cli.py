@@ -46,7 +46,7 @@ from observkit.observability import (  # noqa: F401
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -164,12 +164,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_cardio(args) -> int:
-    try:
-        params = CardioParams(mass=args.mass, damping=args.damping,
-                              stiffness=args.stiffness)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    model = build_cardio_model(params)
+    model = build_cardio_model(CardioParams(mass=args.mass, damping=args.damping,
+                                            stiffness=args.stiffness))
     if args.out:
         save_model(model, args.out)
         _status(f"wrote {args.out}")
@@ -240,14 +236,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SingularGramianError as exc:
         print(_style("system unobservable at this horizon", "red"), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # usage, parse and numeric errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

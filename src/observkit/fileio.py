@@ -7,7 +7,8 @@ identical inputs produce byte-identical files.
 Model document:  {"name": ..., "a": [[...]], "b": [[...]], "c": [[...]]}
 Trace file:      header "t,v1,...,vw", one comma-separated row per sample,
                  t column strictly increasing and uniformly spaced
-                 (relative tolerance 1e-9).
+                 (relative tolerance ``lti.GRID_RTOL``, plus the rounding
+                 of the written times).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from observkit.lti import StateSpaceModel, Trace, make_model
+from observkit.lti import GRID_RTOL, StateSpaceModel, Trace, make_model
 from observkit.observability import GramianResult, ObservabilityReport
 
 __all__ = [
@@ -35,11 +36,6 @@ __all__ = [
 class ParseError(ValueError):
     """A model or trace file failed validation; message carries the
     file name and the offending line or field."""
-
-
-def _fmt(x: float) -> str:
-    """17-significant-digit decimal form, exact on round trip."""
-    return format(float(x), ".17g")
 
 
 def _emit(value, indent: int = 0) -> str:
@@ -62,7 +58,9 @@ def _emit(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize the non-finite number {value}")
+        return format(float(value), ".17g")  # 17 digits: exact on round trip
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -70,13 +68,8 @@ def _emit(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _matrix_rows(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m)]
-
-
 def dump_model(m: StateSpaceModel) -> str:
-    doc = {"name": m.name, "a": _matrix_rows(m.a), "b": _matrix_rows(m.b),
-           "c": _matrix_rows(m.c)}
+    doc = {"name": m.name, "a": m.a.tolist(), "b": m.b.tolist(), "c": m.c.tolist()}
     return _emit(doc) + "\n"
 
 
@@ -141,7 +134,7 @@ def save_trace(trace: Trace, path: str) -> None:
     width = trace.width
     header = "t," + ",".join(f"v{i + 1}" for i in range(width))
     table = np.column_stack([trace.times, trace.samples])
-    # one %-format over the whole table; "%.17g" prints what _fmt prints
+    # one %-format over the whole table; "%.17g" prints what _emit prints
     row = ",".join(["%.17g"] * (width + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
@@ -150,10 +143,13 @@ def save_trace(trace: Trace, path: str) -> None:
 def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
-    The time column must be strictly increasing and uniformly spaced to
-    a relative tolerance of 1e-9; at least two rows are required, since
-    a single row cannot determine the time step.  Blank lines are
-    skipped, and fields may carry surrounding spaces.
+    The time column must be strictly increasing and uniformly spaced:
+    each step may differ from the first by ``lti.GRID_RTOL`` of it plus
+    eight units in the last place of the largest |t|, which covers the
+    rounding that computing t0 + k dt leaves in two steps.  At least two
+    rows are required, since a single row cannot determine the time
+    step.  Blank lines are skipped, and fields may carry surrounding
+    spaces.
 
     Raises:
         ParseError: with the offending line number.
@@ -206,7 +202,8 @@ def load_trace(path: str) -> Trace:
     if dt <= 0:
         raise fail(2, "time column must be strictly increasing")
     steps = np.diff(times)
-    bad = np.flatnonzero(np.abs(steps - dt) > 1e-9 * abs(dt))
+    allowed = GRID_RTOL * dt + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
+    bad = np.flatnonzero(np.abs(steps - dt) > allowed)
     if bad.size:
         raise fail(int(bad[0]) + 2, f"non-uniform time step "
                    f"{float(steps[bad[0]])!r}, expected {dt!r}")
@@ -219,7 +216,7 @@ def _gramian_doc(g: GramianResult) -> dict:
         "horizon": g.horizon,
         "positive_definite": g.positive_definite,
         "min_eigenvalue": g.min_pivot_or_eig,
-        "matrix": _matrix_rows(g.gramian),
+        "matrix": g.gramian.tolist(),
     }
 
 
@@ -239,7 +236,7 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
         "kalman_observable": report.kalman_observable,
         "gramian_observable": report.gramian_observable,
         "consistent": report.consistent,
-        "observability_matrix": _matrix_rows(report.observability_matrix),
+        "observability_matrix": report.observability_matrix.tolist(),
         "gramian": _gramian_doc(report.gramian),
         "gramian_ode": _gramian_doc(report.gramian_ode),
         "gramian_route_discrepancy": discrepancy,
@@ -249,7 +246,7 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
 
 def dump_vector_doc(key: str, vector: np.ndarray, extra: dict | None = None) -> str:
     """Small document holding one named vector plus scalar annotations."""
-    doc: dict = {key: [float(x) for x in np.asarray(vector).ravel()]}
+    doc: dict = {key: np.asarray(vector, dtype=float).ravel().tolist()}
     if extra:
         doc.update(extra)
     return _emit(doc) + "\n"

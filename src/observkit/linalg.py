@@ -14,9 +14,6 @@ __all__ = [
     "NonFiniteError",
     "ShapeMismatchError",
     "SingularMatrixError",
-    "as_matrix",
-    "as_vector",
-    "definiteness",
     "expm",
     "is_positive_definite",
     "rank",
@@ -88,12 +85,13 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise NonFiniteError("time must be finite")
-    x = a * t
-    norm = np.linalg.norm(x, 1) if x.size else 0.0
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        x = x / 2.0 ** squarings
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = a * t
+        scale = np.linalg.norm(x, 1) / 0.5 if x.size else 0.0
+    if not np.isfinite(scale):
+        raise NonFiniteError(f"expm: A t is too large to scale at t = {t:.6g}")
+    squarings = int(np.ceil(np.log2(scale))) if scale > 1 else 0
+    x = np.ldexp(x, -squarings)
     eye = np.eye(x.shape[0])
     c = _PADE6
     x2 = x @ x
@@ -101,17 +99,21 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x2 @ x4)
     odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
     f = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        f = f @ f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            f = f @ f
+    if not np.isfinite(f).all():
+        raise NonFiniteError(f"expm: exp(A t) is not finite at t = {t:.6g} "
+                             f"after {squarings} squarings")
     return f
 
 
 def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, float]:
     """Singular values of ``m``, largest first, and the relative threshold
     they are judged by: ``rel_tol``, by default machine epsilon times the
-    larger dimension."""
+    larger dimension (at least 1)."""
     if rel_tol is None:
-        rel_tol = EPS * max(m.shape)
+        rel_tol = EPS * max(*m.shape, 1)
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol

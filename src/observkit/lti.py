@@ -23,11 +23,9 @@ __all__ = [
     "StateSpaceModel",
     "Trace",
     "make_model",
-    "propagate",
     "simulate_forced",
     "simulate_free",
     "transition_matrix",
-    "zoh_discretize",
 ]
 
 
@@ -54,6 +52,11 @@ class StateSpaceModel:
     def q(self) -> int:
         """Output dimension."""
         return self.c.shape[0]
+
+
+# Relative tolerance on grid steps and spans: two grids agree when their
+# steps, or a trace's span and a horizon, differ by at most this much.
+GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,17 +143,17 @@ def _check_x0(m: StateSpaceModel, x0) -> np.ndarray:
 def propagate(phi, v, stage: str) -> np.ndarray:
     """Every state of x_{k+1} = Phi x_k + v_{k+1}, with x_0 = v_0.
 
-    Each of the N terms stacked along the first axis of ``v``, and so
-    each state, is a vector or an n x q block.  A Hillis-Steele scan adds
-    Phi^s x_{k-s} to every x_k for s = 1, 2, 4, ..., in ceil(log2 N)
-    vectorised passes.  A state that overflows raises NonFiniteError
-    naming ``stage`` and the step.
+    The N terms are stacked along the first axis of ``v``, with the state
+    on the last axis: shape (N, n), or (N, q, n) for q states at once.
+    A Hillis-Steele scan adds Phi^s x_{k-s} to every x_k for
+    s = 1, 2, 4, ..., in ceil(log2 N) vectorised passes.  A state that
+    overflows raises NonFiniteError naming ``stage`` and the step.
 
     States before the first nonzero term are exactly zero, so the scan
     starts there: on a long grid Phi^s may overflow, and inf * 0 would
     turn a zero state into NaN.
     """
-    x = np.moveaxis(np.asarray(v, dtype=float), 1, -1).copy()  # blocks held as q x n
+    x = np.array(v, dtype=float)
     nonzero = x.reshape(-1) != 0
     tail = x[nonzero.argmax() // x[0].size if nonzero.any() else len(x):]
     power, s = phi.T, 1
@@ -164,7 +167,7 @@ def propagate(phi, v, stage: str) -> np.ndarray:
     if not finite.all():
         raise NonFiniteError(f"{stage}: the state is no longer finite at step {np.argmin(finite)} "
                              f"of {len(x) - 1}; the model grows too fast for this grid")
-    return np.moveaxis(x, -1, 1)
+    return x
 
 
 def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,

@@ -34,7 +34,7 @@ from observkit.linalg import (
     rank,
     solve,
 )
-from observkit.lti import StateSpaceModel, Trace, propagate, simulate_forced
+from observkit.lti import GRID_RTOL, StateSpaceModel, Trace, propagate, simulate_forced
 
 __all__ = [
     "GramianResult",
@@ -46,8 +46,6 @@ __all__ = [
     "observability_matrix",
     "rank_test",
     "reconstruct_initial_state",
-    "reconstruct_with_gramian",
-    "reconstruction_normal_equations",
 ]
 
 ANALYSIS_INTERVALS = 200
@@ -153,13 +151,15 @@ def _simpson_weights(intervals: int, h: float) -> np.ndarray:
     return w * h
 
 
-def _weighted_sums(m: StateSpaceModel, h: float, weights: np.ndarray, stage: str,
-                   samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_sums(m: StateSpaceModel, h: float, samples: np.ndarray,
+                   stage: str) -> tuple[np.ndarray, np.ndarray]:
     """Sums over grid nodes k of w_k R_k^T R_k and of w_k R_k^T y_k, one
-    product each, with every R_k = C Phi(h)^k from one :func:`propagate`."""
-    v = np.zeros((weights.size, m.n, m.q))
-    v[0] = m.c.T
-    rows = np.moveaxis(propagate(expm(m.a, h).T, v, stage), 1, -1).reshape(-1, m.n)
+    product each, with w_k the Simpson weights of step h for the samples
+    y_k and every R_k = C Phi(h)^k from one :func:`propagate`."""
+    weights = _simpson_weights(samples.shape[0] - 1, h)
+    v = np.zeros((weights.size, m.q, m.n))
+    v[0] = m.c
+    rows = propagate(expm(m.a, h).T, v, stage).reshape(-1, m.n)
     w = np.repeat(weights, m.q)
     with np.errstate(over="ignore", invalid="ignore"):
         gram, moment = rows.T @ (w[:, None] * rows), rows.T @ (w * samples.ravel())
@@ -191,8 +191,7 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     if intervals < 2 or intervals % 2:
         raise ValueError(f"intervals must be even and >= 2, got {intervals}")
     h = horizon / intervals
-    gram, _ = _weighted_sums(m, h, _simpson_weights(intervals, h), "quadrature",
-                             np.zeros((intervals + 1, m.q)))
+    gram, _ = _weighted_sums(m, h, np.zeros((intervals + 1, m.q)), "quadrature")
     return _finish_gramian(gram, horizon, "quadrature", pd_tol)
 
 
@@ -216,12 +215,17 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
         return at @ w + w @ m.a + ctc
 
     w = np.zeros((m.n, m.n))
-    for _ in range(steps):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * h * k1)
-        k3 = rhs(w + 0.5 * h * k2)
-        k4 = rhs(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = rhs(w)
+            k2 = rhs(w + 0.5 * h * k1)
+            k3 = rhs(w + 0.5 * h * k2)
+            k4 = rhs(w + h * k3)
+            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(w).all():  # a non-finite W stays non-finite
+        raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
+                             f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "
+                             f"too long for this model or it grows too fast")
     return _finish_gramian(w, horizon, "lyapunov-ode", pd_tol)
 
 
@@ -239,7 +243,7 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
         raise ValueError(
             f"input and output traces must share a grid: {u.samples.shape[0]} vs "
             f"{y.samples.shape[0]} samples")
-    if abs(u.dt - y.dt) > 1e-9 * max(u.dt, y.dt) or u.t0 != y.t0:
+    if abs(u.dt - y.dt) > GRID_RTOL * max(u.dt, y.dt) or u.t0 != y.t0:
         raise ValueError("input and output traces must share a grid (t0 and dt)")
     _, y_forced = simulate_forced(m, np.zeros(m.n), u)
     return y.samples - y_forced.samples
@@ -259,9 +263,7 @@ def reconstruction_normal_equations(
     Returns:
         (gram, moment) with gram symmetric n x n and moment length n.
     """
-    samples = _free_output(m, y, u)
-    weights = _simpson_weights(samples.shape[0] - 1, y.dt)
-    gram, moment = _weighted_sums(m, y.dt, weights, "reconstruct", samples)
+    gram, moment = _weighted_sums(m, y.dt, _free_output(m, y, u), "reconstruct")
     return 0.5 * (gram + gram.T), moment
 
 
@@ -275,7 +277,7 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
         y: output trace, width q, at least two samples.
         u: input trace on the same grid, if the response was forced.
         horizon: expected window length; checked against the trace's
-            span when given (relative tolerance 1e-9).
+            span when given (relative tolerance ``lti.GRID_RTOL``).
 
     Returns:
         The initial state, exact to rounding for noiseless traces of an
@@ -296,7 +298,7 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
-        if abs(span - horizon) > 1e-9 * max(abs(span), horizon):
+        if abs(span - horizon) > GRID_RTOL * max(abs(span), horizon):
             raise ValueError(
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)
@@ -322,7 +324,6 @@ def analyze(m: StateSpaceModel, horizon: float,
     cross-checking.  ``consistent`` compares the rank verdict with the
     Gramian verdict.
     """
-    horizon = _check_horizon(horizon)
     obs = observability_matrix(m)
     r = rank(obs, rank_tol)
     kalman_observable = r == m.n

@@ -2,6 +2,7 @@ import inspect
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,43 @@ def test_reconstruct_horizon_mismatch(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 1
     assert "horizon" in err
+
+
+@pytest.mark.parametrize("t0, dt", [("100", "1e-5"), ("1e6", "1e-3")])
+def test_reconstruct_on_offset_grid(tmp_path, capsys, t0, dt):
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    prefix = str(tmp_path / "sim")
+    assert main(["simulate", "--model", model_path, "--x0", "1,-0.5", "--t0", t0,
+                 "--dt", dt, "--steps", "1000", "--out", prefix]) == 0
+    capsys.readouterr()
+    rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert np.linalg.norm(np.array(json.loads(out)["x0"]) - [1.0, -0.5]) <= 1e-6
+
+
+def _numeric_failure(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+def test_cardio_unstable_ode_route_is_an_error(capsys):
+    err = _numeric_failure(["cardio", "--mass", "0.5", "--damping", "0.5",
+                            "--stiffness", "100", "--horizon", "200"], capsys)
+    assert err.startswith("error: lyapunov-ode")
+
+
+def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",
+                            "--dt", "1e308", "--steps", "2",
+                            "--out", str(tmp_path / "r")], capsys)
+    assert err.startswith("error: expm")
 
 
 def test_reconstruct_writes_out_file(tmp_path, capsys):

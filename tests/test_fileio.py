@@ -213,3 +213,23 @@ def test_vector_document():
     doc = json.loads(text)
     assert doc["x0"] == [1.0, -0.5]
     assert doc["gramian_condition"] == 4.5
+
+
+@pytest.mark.parametrize("t0, dt", [(100.0, 1e-5), (1e6, 1e-3)])
+def test_trace_round_trip_on_offset_grid(tmp_path, t0, dt):
+    # |t| >> dt: the written times carry rounding larger than 1e-9 * dt
+    trace = Trace(t0, dt, np.arange(1001.0)[:, None])
+    path = str(tmp_path / "offset.csv")
+    save_trace(trace, path)
+    back = load_trace(path)
+    assert back.t0 == t0
+    np.testing.assert_allclose(back.dt, dt, rtol=1e-6)
+    np.testing.assert_array_equal(back.samples, trace.samples)
+
+
+def test_documents_reject_non_finite_numbers():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_vector_doc("x0", np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_vector_doc("x0", np.zeros(2), {"gramian_condition": bad})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,16 @@ def test_expm_rejects_bad_input():
         expm(np.eye(2), np.inf)
 
 
+def test_expm_overflow_raises_non_finite_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # A t overflows before scaling; A t is finite but exp(A t) is not
+        with pytest.raises(NonFiniteError, match="expm: A t is too large"):
+            expm([[0.0, 1.0], [-2.0, -0.5]], 1e308)
+        with pytest.raises(NonFiniteError, match="expm: exp.* is not finite"):
+            expm([[1e-300]], 1e308)
+
+
 def test_rank_examples():
     # observability matrix of the table model, gamma=2, M=1, beta=0.5
     assert rank([[0.0, -2.0], [1.0, -0.5]]) == 2
@@ -121,6 +133,16 @@ def test_rank_rejects_nonpositive_tolerance():
         for m in (np.eye(2), [[1.0, 2.0], [2.0, 4.0]]):
             with pytest.raises(ValueError, match="rel_tol must be positive"):
                 solve(m, [1.0, 1.0], rel_tol=tol)
+
+
+def test_empty_matrix_default_tolerance_is_positive():
+    empty = np.zeros((0, 0))
+    assert rank(empty) == 0
+    with pytest.raises(SingularMatrixError):
+        solve(empty, np.zeros(0))
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            rank(empty, rel_tol=tol)
 
 
 def test_positive_definite_examples():

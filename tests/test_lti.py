@@ -230,7 +230,7 @@ def test_simulate_forced_matches_rk4_oracle():
 def _loop_states(phi, v):
     x = [v[0]]
     for term in v[1:]:
-        x.append(phi @ x[-1] + term)
+        x.append(x[-1] @ phi.T + term)
     return np.array(x)
 
 
@@ -240,7 +240,7 @@ def test_propagate_matches_plain_loop(length, block):
     rng = np.random.default_rng(length)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     phi = 0.999 * q + 1e-3 * rng.standard_normal((3, 3))
-    v = rng.standard_normal((length, 3, *block))
+    v = rng.standard_normal((length, *block, 3))
     got = propagate(phi, v, "test")
     assert got.shape == v.shape
     np.testing.assert_allclose(got, _loop_states(phi, v), rtol=0, atol=1e-11)

@@ -161,6 +161,17 @@ def test_gramian_ode_rejects_bad_arguments():
         gramian_ode(m, 1.0, steps=0)
 
 
+def test_gramian_ode_instability_names_the_stage():
+    # stable model, but 1000 RK4 steps of 0.2 leave RK4's stability region
+    m = table_model(mass=0.5, damping=0.5, stiffness=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"lyapunov-ode: .*\[0, 200\] with 1000 RK4"):
+            gramian_ode(m, 200.0)
+        with pytest.raises(NonFiniteError, match="lyapunov-ode"):
+            analyze(m, 200.0)
+
+
 def test_gramian_routes_agree():
     rng = np.random.default_rng(52)
     for _ in range(5):
