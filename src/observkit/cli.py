@@ -35,7 +35,6 @@ from observkit.lti import StateSpaceModel, simulate_forced, simulate_free
 # perfbench/spans.py wraps reconstruct_initial_state and
 # reconstruction_normal_equations on this module, so both stay imported
 from observkit.observability import (  # noqa: F401
-    ANALYSIS_INTERVALS,
     SingularGramianError,
     analyze,
     reconstruct_initial_state,
@@ -87,8 +86,7 @@ def _parse_x0(text: str) -> np.ndarray:
 def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     """Analyze ``model`` with the tolerance flags, emit the report, print the
     human verdict to stderr; return the exit code."""
-    report = analyze(model, args.horizon, rank_tol=args.rank_tol,
-                     pd_tol=args.pd_tol, intervals=args.intervals)
+    report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
     _emit_doc(dump_report(report, model.name), out_path)
     observable = report.kalman_observable and report.gramian_observable
     if not report.consistent:
@@ -177,8 +175,6 @@ def _add_tolerance_flags(sub) -> None:
                      help="relative rank tolerance (default: eps * max dimension)")
     sub.add_argument("--pd-tol", type=float, default=DEFAULT_PD_TOL,
                      help="relative eigenvalue threshold for positive definiteness")
-    sub.add_argument("--intervals", type=int, default=ANALYSIS_INTERVALS,
-                     help="Simpson intervals for the Gramian quadrature (even)")
 
 
 def build_parser() -> _Parser:

@@ -146,7 +146,9 @@ def load_trace(path: str) -> Trace:
     The time column must be strictly increasing and uniformly spaced:
     each step may differ from the first by ``lti.GRID_RTOL`` of it plus
     eight units in the last place of the largest |t|, which covers the
-    rounding that computing t0 + k dt leaves in two steps.  At least two
+    rounding that computing t0 + k dt leaves in two steps.  The time step
+    is the mean step, (t_last - t_first) / (rows - 1), since one step
+    carries the rounding of two written times undivided.  At least two
     rows are required, since a single row cannot determine the time
     step.  Blank lines are skipped, and fields may carry surrounding
     spaces.
@@ -198,16 +200,16 @@ def load_trace(path: str) -> Trace:
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
     times = table[:, 0]
-    dt = float(times[1] - times[0])
-    if dt <= 0:
-        raise fail(2, "time column must be strictly increasing")
     steps = np.diff(times)
-    allowed = GRID_RTOL * dt + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
-    bad = np.flatnonzero(np.abs(steps - dt) > allowed)
+    first = float(steps[0])
+    if first <= 0:
+        raise fail(2, "time column must be strictly increasing")
+    allowed = GRID_RTOL * first + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
+    bad = np.flatnonzero(np.abs(steps - first) > allowed)
     if bad.size:
         raise fail(int(bad[0]) + 2, f"non-uniform time step "
-                   f"{float(steps[bad[0]])!r}, expected {dt!r}")
-    return Trace(t0=times[0], dt=dt, samples=table[:, 1:])
+                   f"{float(steps[bad[0]])!r}, expected {first!r}")
+    return Trace(t0=times[0], dt=(times[-1] - times[0]) / steps.size, samples=table[:, 1:])
 
 
 def _gramian_doc(g: GramianResult) -> dict:

@@ -71,6 +71,20 @@ _PADE6 = (479001600.0, 239500800.0, 54432000.0, 7257600.0,
           604800.0, 30240.0, 720.0)
 
 
+def expm_squarings(a: np.ndarray, t: float, stage: str) -> int:
+    """Smallest s >= 0 with ||a t||_1 / 2^s <= 1/2, the scaling at which
+    :func:`expm` evaluates its Pade approximant.
+
+    Raises:
+        NonFiniteError: ||a t||_1 overflows; the message names ``stage``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(a * t, 1) / 0.5 if a.size else 0.0
+    if not np.isfinite(scale):
+        raise NonFiniteError(f"{stage}: A t is too large to scale at t = {t:.6g}")
+    return int(np.ceil(np.log2(scale))) if scale > 1 else 0
+
+
 def expm(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(a*t)`` by scaling-and-squaring.
 
@@ -85,13 +99,8 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise NonFiniteError("time must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = a * t
-        scale = np.linalg.norm(x, 1) / 0.5 if x.size else 0.0
-    if not np.isfinite(scale):
-        raise NonFiniteError(f"expm: A t is too large to scale at t = {t:.6g}")
-    squarings = int(np.ceil(np.log2(scale))) if scale > 1 else 0
-    x = np.ldexp(x, -squarings)
+    squarings = expm_squarings(a, t, "expm")
+    x = np.ldexp(a * t, -squarings)
     eye = np.eye(x.shape[0])
     c = _PADE6
     x2 = x @ x

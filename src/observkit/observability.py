@@ -1,14 +1,17 @@
 """Observability certificates and initial-state reconstruction.
 
-Three routes to the same verdict:
+Two tests of the same property:
 
 * Kalman rank test: the block matrix [C^T, A^T C^T, ..., (A^T)^(n-1) C^T]
   has rank n exactly when the model is completely observable.
 * Observability Gramian M(0,T) = integral over [0,T] of
   e^{A^T s} C^T C e^{A s} ds, positive definite exactly when observable.
-  Computed two independent ways: composite Simpson quadrature and RK4
-  integration of the differential Lyapunov equation
-  dW/dt = A^T W + W A + C^T C, W(0) = 0.
+  :func:`analyze` decides on the Gramian from :func:`gramian_doubling`
+  (one Van Loan block exponential, then doubling up to T), which has no
+  discretisation, and cross-checks it with RK4 integration of the
+  differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0.
+  Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
+  route, on a grid the caller picks.
 
 When the Gramian is invertible the initial state is recoverable from an
 output trace:  x0 = M(0,T)^{-1} * integral of e^{A^T t} C^T y(t) dt,
@@ -30,6 +33,7 @@ from observkit.linalg import (
     SingularMatrixError,
     definiteness,
     expm,
+    expm_squarings,
     is_positive_definite,  # noqa: F401  (perfbench/spans.py wraps it on this module)
     rank,
     solve,
@@ -41,15 +45,13 @@ __all__ = [
     "ObservabilityReport",
     "SingularGramianError",
     "analyze",
+    "gramian_doubling",
     "gramian_ode",
     "gramian_quadrature",
     "observability_matrix",
     "rank_test",
     "reconstruct_initial_state",
 ]
-
-ANALYSIS_INTERVALS = 200
-
 
 class SingularGramianError(SingularMatrixError):
     """The observability Gramian is numerically singular, so the initial
@@ -61,8 +63,9 @@ class SingularGramianError(SingularMatrixError):
 class GramianResult:
     """Observability Gramian over [0, horizon] with its definiteness verdict.
 
-    ``min_pivot_or_eig`` is the smallest eigenvalue of the symmetrized
-    Gramian, the quantity the verdict thresholds on.
+    ``method`` names the route: ``"doubling"``, ``"lyapunov-ode"`` or
+    ``"quadrature"``.  ``min_pivot_or_eig`` is the smallest eigenvalue of
+    the symmetrized Gramian, the quantity the verdict thresholds on.
     """
 
     gramian: np.ndarray
@@ -76,7 +79,7 @@ class GramianResult:
 class ObservabilityReport:
     """Full certificate: rank route, Gramian route, and their agreement.
 
-    ``gramian`` holds the quadrature result (the verdict-bearing route);
+    ``gramian`` holds the doubling result (the verdict-bearing route);
     ``gramian_ode`` holds the independent Lyapunov-ODE cross-check.
     ``consistent`` is false when the rank and Gramian verdicts disagree,
     which signals a tolerance problem rather than a property of the model.
@@ -170,7 +173,7 @@ def _weighted_sums(m: StateSpaceModel, h: float, samples: np.ndarray,
 
 
 def gramian_quadrature(m: StateSpaceModel, horizon: float,
-                       intervals: int = ANALYSIS_INTERVALS,
+                       intervals: int = 200,
                        pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
     """Gramian by composite Simpson quadrature on an even grid.
 
@@ -195,12 +198,43 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     return _finish_gramian(gram, horizon, "quadrature", pd_tol)
 
 
+def gramian_doubling(m: StateSpaceModel, horizon: float,
+                     pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
+    """Gramian by one Van Loan block exponential on a short step, then doubling.
+
+    With t = T / 2^k, exp([[-A^T, C^T C], [0, A]] t) has blocks
+    [[e^{-A^T t}, F], [0, Phi(t)]] with Phi(t)^T F = M(0, t) (Van Loan,
+    1978).  Since M(0, 2t) = M(0, t) + Phi(t)^T M(0, t) Phi(t) and
+    Phi(2t) = Phi(t)^2, k doublings reach M(0, T) (Smith, 1968).  k is the
+    smallest count with ||A||_1 t <= 1/2, the scaling :func:`expm` uses,
+    so the work follows from (A, T) and no grid is chosen.
+
+    Raises:
+        ValueError: nonpositive horizon.
+        NonFiniteError: the Gramian overflows over [0, T].
+    """
+    horizon = _check_horizon(horizon)
+    k = expm_squarings(m.a, horizon, "doubling")
+    block = np.block([[-m.a.T, m.c.T @ m.c], [np.zeros((m.n, m.n)), m.a]])
+    f = expm(block, np.ldexp(horizon, -k))
+    phi = f[m.n:, m.n:]
+    gram = phi.T @ f[:m.n, m.n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k if gram.any() else 0):  # C = 0: stays 0; inf * 0 would be NaN
+            gram = gram + phi.T @ gram @ phi
+            phi = phi @ phi
+    if not np.isfinite(gram).all():
+        raise NonFiniteError(f"doubling: the Gramian overflows over [0, {horizon:.6g}] "
+                             f"after {k} doublings")
+    return _finish_gramian(gram, horizon, "doubling", pd_tol)
+
+
 def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
                 pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
     """Gramian by RK4 integration of dW/dt = A^T W + W A + C^T C from W(0) = 0.
 
-    This route shares no quadrature machinery with
-    :func:`gramian_quadrature`, so agreement between the two is a real
+    This route shares no machinery with :func:`gramian_doubling` or
+    :func:`gramian_quadrature`, so agreement with either is a real
     cross-check.
     """
     horizon = _check_horizon(horizon)
@@ -315,21 +349,20 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
 
 def analyze(m: StateSpaceModel, horizon: float,
             rank_tol: float | None = None,
-            pd_tol: float = DEFAULT_PD_TOL,
-            intervals: int = ANALYSIS_INTERVALS) -> ObservabilityReport:
-    """Run the rank test and both Gramian routes; return the full certificate.
+            pd_tol: float = DEFAULT_PD_TOL) -> ObservabilityReport:
+    """Run the rank test and two Gramian routes; return the full certificate.
 
-    The Gramian verdict carried in ``gramian_observable`` comes from the
-    quadrature route; the Lyapunov-ODE result rides along for
-    cross-checking.  ``consistent`` compares the rank verdict with the
-    Gramian verdict.
+    The Gramian verdict carried in ``gramian_observable`` comes from
+    :func:`gramian_doubling`, which has no discretisation to tune; the
+    Lyapunov-ODE result rides along for cross-checking.  ``consistent``
+    compares the rank verdict with the Gramian verdict.
     """
     obs = observability_matrix(m)
     r = rank(obs, rank_tol)
     kalman_observable = r == m.n
-    quad = gramian_quadrature(m, horizon, intervals, pd_tol)
+    gram = gramian_doubling(m, horizon, pd_tol)
     ode = gramian_ode(m, horizon, pd_tol=pd_tol)
-    gramian_observable = quad.positive_definite
+    gramian_observable = gram.positive_definite
     return ObservabilityReport(
         kalman_rank=r,
         rank_required=m.n,
@@ -337,6 +370,6 @@ def analyze(m: StateSpaceModel, horizon: float,
         gramian_observable=gramian_observable,
         consistent=kalman_observable == gramian_observable,
         observability_matrix=obs,
-        gramian=quad,
+        gramian=gram,
         gramian_ode=ode,
     )

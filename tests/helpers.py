@@ -1,8 +1,24 @@
 """Seeded model generators shared by the unit and acceptance tests."""
 
 import numpy as np
+import pytest
 
 from observkit.lti import StateSpaceModel, make_model
+
+
+def oracle_gramian(m: StateSpaceModel, horizon: float) -> np.ndarray:
+    """Reference Gramian: scipy's adaptive ``quad_vec`` of
+    e^{A^T s} C^T C e^{A s} over [0, horizon] at relative tolerance 1e-13.
+    Skips the calling test where scipy is missing."""
+    integrate = pytest.importorskip("scipy.integrate")
+    sla = pytest.importorskip("scipy.linalg")
+
+    def integrand(s):
+        r = m.c @ sla.expm(m.a * s)
+        return r.T @ r
+
+    return integrate.quad_vec(integrand, 0.0, horizon, epsrel=1e-13, epsabs=0.0,
+                              limit=2000)[0]
 
 
 def random_observable_model(rng: np.random.Generator, n: int) -> StateSpaceModel:

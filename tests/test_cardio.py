@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from helpers import oracle_gramian
 from observkit.cardio import CardioParams, build_cardio_model, certify_cardio
+from observkit.fileio import dump_report
 from observkit.lti import simulate_free
 
 
@@ -59,6 +63,18 @@ def test_certificate_grid_nonzero_stiffness():
                 assert report.kalman_rank == 2
                 assert report.gramian.positive_definite
                 assert report.consistent
+
+
+def test_stiff_table_long_window_certificate_is_exact():
+    # h |lambda| of a 200-interval grid would be about 3.5 here
+    params = CardioParams(mass=0.5, damping=0.5, stiffness=100.0)
+    report = certify_cardio(params, 50.0)
+    want = oracle_gramian(build_cardio_model(params), 50.0)
+    got = report.gramian.gramian
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    doc = json.loads(dump_report(report))
+    assert doc["gramian_route_discrepancy"] <= 1e-6
+    assert doc["consistent"] is True
 
 
 def test_damped_response_decays_over_a_period():

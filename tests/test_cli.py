@@ -89,10 +89,11 @@ def test_default_flags_match_library_defaults(tmp_path, capsys):
     assert out == dump_report(analyze(model, 1.0), model.name)
     # the report shows pd_tol only through verdicts, so compare it directly
     library = inspect.signature(analyze).parameters
+    assert list(library) == ["m", "horizon", "rank_tol", "pd_tol"]
     for argv in (["analyze", "--model", model_path],
                  ["cardio", "--mass", "1", "--stiffness", "1"]):
         args = build_parser().parse_args(argv)
-        for flag in ("rank_tol", "pd_tol", "intervals"):
+        for flag in ("rank_tol", "pd_tol"):
             assert getattr(args, flag) == library[flag].default
 
 
@@ -269,10 +270,11 @@ def test_reconstruct_on_offset_grid(tmp_path, capsys, t0, dt):
     assert main(["simulate", "--model", model_path, "--x0", "1,-0.5", "--t0", t0,
                  "--dt", dt, "--steps", "1000", "--out", prefix]) == 0
     capsys.readouterr()
-    rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv"])
+    rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv",
+               "--horizon", f"{1000 * float(dt):g}"])
     out, err = capsys.readouterr()
     assert rc == 0, err
-    assert np.linalg.norm(np.array(json.loads(out)["x0"]) - [1.0, -0.5]) <= 1e-6
+    assert np.linalg.norm(np.array(json.loads(out)["x0"]) - [1.0, -0.5]) <= 1e-12
 
 
 def _numeric_failure(argv, capsys):
@@ -318,6 +320,17 @@ def test_usage_errors_return_one(capsys):
     assert main(["analyze", "--no-such-flag"]) == 1
     assert main(["simulate"]) == 1
     capsys.readouterr()
+
+
+def test_intervals_flag_is_a_usage_error(tmp_path, capsys):
+    # the Gramian that decides the verdict has no interval count to set
+    model_path = cardio_model_file(tmp_path)
+    for argv in (["analyze", "--model", model_path],
+                 ["cardio", "--mass", "1", "--stiffness", "1"]):
+        assert main(argv + ["--intervals", "200"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --intervals 200" in err
 
 
 def test_help_exits_zero():

@@ -200,7 +200,7 @@ def test_report_document_shape():
     assert doc["kalman_rank"] == 2
     assert doc["rank_required"] == 2
     assert doc["consistent"] is True
-    assert doc["gramian"]["method"] == "quadrature"
+    assert doc["gramian"]["method"] == "doubling"
     assert doc["gramian_ode"]["method"] == "lyapunov-ode"
     assert len(doc["gramian"]["matrix"]) == 2
     assert doc["gramian_route_discrepancy"] <= 1e-6

@@ -3,12 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_observable_model, random_unobservable_model, unstable_saddle_model
+from helpers import (
+    oracle_gramian,
+    random_observable_model,
+    random_unobservable_model,
+    unstable_saddle_model,
+)
+from observkit.cardio import CardioParams, build_cardio_model
 from observkit.linalg import NonFiniteError, ShapeMismatchError, is_positive_definite, rank
 from observkit.lti import Trace, make_model, simulate_forced, simulate_free
 from observkit.observability import (
     SingularGramianError,
     analyze,
+    gramian_doubling,
     gramian_ode,
     gramian_quadrature,
     observability_matrix,
@@ -117,7 +124,8 @@ def test_gramian_verdict_matches_is_positive_definite():
     verdicts = set()
     for m in models:
         for tol in (1e-14, 1e-10, 1e-6):
-            for g in (gramian_quadrature(m, 1.0, 200, tol), gramian_ode(m, 1.0, 200, tol)):
+            for g in (gramian_quadrature(m, 1.0, 200, tol), gramian_ode(m, 1.0, 200, tol),
+                      gramian_doubling(m, 1.0, tol)):
                 assert g.positive_definite == is_positive_definite(g.gramian, tol)
                 assert g.min_pivot_or_eig == np.linalg.eigvalsh(g.gramian)[0]
                 verdicts.add(g.positive_definite)
@@ -135,8 +143,50 @@ def test_overflow_names_the_stage():
             gramian_quadrature(m, 10.0, 1000)
         with pytest.raises(NonFiniteError, match=r"reconstruct: .* step 14\d\d of 2000"):
             reconstruct_initial_state(m, Trace(0.0, 0.01, np.zeros((2001, 1))))
-        with pytest.raises(NonFiniteError, match="quadrature"):
+        with pytest.raises(NonFiniteError, match="doubling"):
             analyze(m, 20.0)
+
+
+def test_gramian_doubling_matches_oracle():
+    cases = [(build_cardio_model(CardioParams(*p)), horizon) for p, horizon in (
+        ((0.5, 0.5, 100.0), 50.0), ((1.0, 0.5, 2.0), 1.0), ((0.5, 0.0, 0.1), 1.0),
+        ((10.0, 5.0, 100.0), 1.0), ((0.5, 5.0, 100.0), 5.0))]
+    rng = np.random.default_rng(61)
+    for n in (4, 8, 12):
+        m = make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                       rng.standard_normal((2, n)))
+        cases += [(m, 1.0), (m, 5.0)]
+    for m, horizon in cases:
+        g = gramian_doubling(m, horizon)
+        assert (g.method, g.horizon) == ("doubling", horizon)
+        want = oracle_gramian(m, horizon)
+        assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_gramian_doubling_keeps_invisible_directions_exactly_zero():
+    # zero stiffness: the position never reaches the velocity output
+    for mass, damping in ((1.0, 0.0), (0.5, 5.0)):
+        m = build_cardio_model(CardioParams(mass, damping, 0.0))
+        g = gramian_doubling(m, 7.0).gramian
+        assert not g[0].any() and not g[:, 0].any()
+        assert g[1, 1] > 0
+    # a zero output map gives a zero Gramian even where Phi(T) overflows
+    m = make_model([[3.0, 0.0], [0.0, -1.0]], [[1.0], [1.0]], [[0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(gramian_doubling(m, 800.0).gramian, np.zeros((2, 2)))
+
+
+def test_gramian_doubling_overflow_names_the_route():
+    m, _ = unstable_saddle_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"doubling: .*overflows over \[0, 20\]"):
+            gramian_doubling(m, 20.0)
+        with pytest.raises(NonFiniteError, match="doubling: A t is too large"):
+            gramian_doubling(m, 1e307)
+    with pytest.raises(ValueError, match="horizon"):
+        gramian_doubling(m, 0.0)
 
 
 def test_gramian_ode_constant_integrand():
@@ -344,7 +394,7 @@ def test_analyze_table_certificate():
     assert report.kalman_observable
     assert report.gramian_observable
     assert report.consistent
-    assert report.gramian.method == "quadrature"
+    assert report.gramian.method == "doubling"
     assert report.gramian_ode.method == "lyapunov-ode"
     assert report.observability_matrix.shape == (2, 2)
 
