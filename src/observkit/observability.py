@@ -10,8 +10,12 @@ Two tests of the same property:
   (one Van Loan block exponential, then doubling up to T), which has no
   discretisation, and cross-checks it with RK4 integration of the
   differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0.
-  Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
-  route, on a grid the caller picks.
+  The equation is linear and A^T W and W A commute as operators on W, so
+  one RK4 step of size h is exactly W -> sum_{i+l<=4} P_i^T W P_l + G with
+  P_i = (hA)^i / i! and a constant G (:func:`gramian_ode`): the factors
+  are built once and each step is two matrix products.  Composite
+  Simpson quadrature (:func:`gramian_quadrature`) is a third route, on a
+  grid the caller picks.
 
 When the Gramian is invertible the initial state is recoverable from an
 output trace:  x0 = M(0,T)^{-1} * integral of e^{A^T t} C^T y(t) dt,
@@ -236,26 +240,42 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     This route shares no machinery with :func:`gramian_doubling` or
     :func:`gramian_quadrature`, so agreement with either is a real
     cross-check.
+
+    Each of the ``steps`` steps is one classical RK4 step of size
+    h = T/steps, applied as the polynomial it equals.  For a linear
+    right-hand side L(W) + Q, RK4 maps W to sum_{k<=4} (hL)^k W / k! + G
+    with G = h sum_{j<=3} (hL)^j Q / (j+1)!.  Here L(W) = A^T W + W A is a
+    left plus a right multiplication, which commute, so the binomial
+    theorem splits (hL)^k / k! into sum_{i+l=k} P_i^T W P_l with
+    P_i = (hA)^i / i!: one step is W -> sum_{i+l<=4} P_i^T W P_l + G, the
+    same map as the four stages, in another rounding order.  W stays
+    symmetric, so the (i, l) and (l, i) terms pair up and the step is
+    Y + Y^T + G with Y = W R_0 + P_1^T W R_1 + P_2^T W R_2,
+    R_0 = I/2 + P_1 + P_2 + P_3 + P_4, R_1 = P_1/2 + P_2 + P_3, R_2 = P_2/2:
+    two matrix products per step on the stacked factors.
     """
     horizon = _check_horizon(horizon)
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    at = m.a.T
     ctc = m.c.T @ m.c
     h = horizon / steps
-
-    def rhs(w):
-        return at @ w + w @ m.a + ctc
-
+    eye = np.eye(m.n)
     w = np.zeros((m.n, m.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1 = rhs(w)
-            k2 = rhs(w + 0.5 * h * k1)
-            k3 = rhs(w + 0.5 * h * k2)
-            k4 = rhs(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = [eye, h * m.a]
+        for i in (2, 3, 4):
+            p.append(p[-1] @ p[1] / i)
+        g = ctc
+        for j in (4, 3, 2):  # Horner: G = h (Q + hL/2 (Q + hL/3 (Q + hL/4 Q)))
+            g = ctc + (h / j) * (m.a.T @ g + g @ m.a)
+        g = h * g
+        left = np.hstack([eye, p[1].T, p[2].T])
+        right = np.stack([0.5 * eye + p[1] + p[2] + p[3] + p[4],
+                          0.5 * p[1] + p[2] + p[3], 0.5 * p[2]])
+        for _ in range(steps):  # w @ right stacks W R_0, W R_1, W R_2
+            y = left @ (w @ right).reshape(3 * m.n, m.n)
+            w = y + y.T + g
     if not np.isfinite(w).all():  # a non-finite W stays non-finite
         raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
                              f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     oracle_gramian,
@@ -220,6 +222,61 @@ def test_gramian_ode_instability_names_the_stage():
             gramian_ode(m, 200.0)
         with pytest.raises(NonFiniteError, match="lyapunov-ode"):
             analyze(m, 200.0)
+
+
+def four_stage_rk4_gramian(m, horizon, steps):
+    """Reference: classical four-stage RK4 on dW/dt = A^T W + W A + C^T C."""
+    at, ctc, h = m.a.T, m.c.T @ m.c, horizon / steps
+
+    def rhs(w):
+        return at @ w + w @ m.a + ctc
+
+    w = np.zeros((m.n, m.n))
+    for _ in range(steps):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * h * k1)
+        k3 = rhs(w + 0.5 * h * k2)
+        k4 = rhs(w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w
+
+
+def test_gramian_ode_matches_four_stage_rk4():
+    rng = np.random.default_rng(62)
+    for n in (1, 2, 5, 12, 24):
+        for q in (1, 2):
+            m = make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                           rng.standard_normal((q, n)))
+            for horizon in (1.0, 5.0):
+                for steps in (1, 7, 1000):
+                    g = gramian_ode(m, horizon, steps)
+                    assert (g.method, g.horizon) == ("lyapunov-ode", horizon)
+                    want = four_stage_rk4_gramian(m, horizon, steps)
+                    want = 0.5 * (want + want.T)
+                    assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
+    m = make_model(rng.uniform(-2.0, 2.0, (5, 5)), np.ones((5, 1)), np.zeros((2, 5)))
+    np.testing.assert_array_equal(gramian_ode(m, 5.0).gramian, np.zeros((5, 5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), q=st.integers(1, 2),
+       horizon=st.floats(0.1, 3.0))
+def test_gramian_ode_agrees_with_doubling(data, n, q, horizon):
+    entries = st.floats(-2.0, 2.0)
+    a = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    c = np.array(data.draw(st.lists(entries, min_size=q * n, max_size=q * n))).reshape(q, n)
+    m = make_model(a, np.ones((n, 1)), c)
+    ode = gramian_ode(m, horizon).gramian
+    exact = gramian_doubling(m, horizon).gramian
+    scale = np.linalg.norm(exact)
+    assert np.abs(ode - ode.T).max() <= 1e-15 * scale
+    # RK4's global error on a mode of the Lyapunov operator with rate mu is
+    # about T mu (h mu)^4 / 120, with mu <= 2 ||A||_2 and h = T / 1000; the
+    # tolerance allows twice that, since 1000 steps cannot reach 1e-8 on
+    # this whole domain (A = 2 ones(6, 6), T = 3 is 1.5e-5 off).
+    mu = 2.0 * np.linalg.norm(a, 2)
+    tol = 1e-8 + horizon * mu * (horizon / 1000 * mu) ** 4 / 60
+    assert np.linalg.norm(ode - exact) <= tol * scale
 
 
 def test_gramian_routes_agree():
