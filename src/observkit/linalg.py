@@ -120,11 +120,11 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, float]:
     """Singular values of ``m``, largest first, and the relative threshold
     they are judged by: ``rel_tol``, by default machine epsilon times the
-    larger dimension (at least 1)."""
+    larger dimension (at least 1), which must be positive and finite."""
     if rel_tol is None:
         rel_tol = EPS * max(*m.shape, 1)
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < np.inf:  # also false for NaN
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol
 
 
@@ -144,8 +144,10 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
 
     Returns (symmetrized matrix, verdict, smallest eigenvalue); the verdict
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
-    diagonal magnitude.
+    diagonal magnitude.  ``tol`` must be finite and nonnegative.
     """
+    if not 0 <= tol < np.inf:  # also false for NaN
+        raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
     sym = 0.5 * (m + m.T)
     smallest = float(np.linalg.eigvalsh(sym)[0])
     return sym, smallest > tol * float(np.max(np.abs(np.diag(sym)))), smallest
@@ -169,7 +171,7 @@ def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
     Raises :class:`SingularMatrixError` (carrying a condition estimate)
     when the smallest singular value falls below ``rel_tol`` times the
     largest; default tolerance, and ``ValueError`` when it is not
-    positive, as in :func:`rank`.
+    positive and finite, as in :func:`rank`.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:

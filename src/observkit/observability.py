@@ -20,6 +20,8 @@ Two tests of the same property:
 When the Gramian is invertible the initial state is recoverable from an
 output trace:  x0 = M(0,T)^{-1} * integral of e^{A^T t} C^T y(t) dt,
 since substituting y(t) = C e^{At} x0 turns the integral into M x0.
+On a sampled trace both integrals are trapezoid sums with the same
+weights, so the identity, and with it x0, holds exactly on any grid.
 Forced traces are handled by subtracting the zero-initial-state forced
 response first, which leaves the free output of x0.
 """
@@ -100,14 +102,24 @@ class ObservabilityReport:
 
 
 def observability_matrix(m: StateSpaceModel) -> np.ndarray:
-    """Horizontal stack of C^T, A^T C^T, ..., (A^T)^(n-1) C^T, shape n x (n q)."""
+    """Horizontal stack of C^T, A^T C^T, ..., (A^T)^(n-1) C^T, shape n x (n q).
+
+    Raises:
+        NonFiniteError: a block overflows; the message names the power.
+    """
     at = m.a.T
     block = m.c.T
     blocks = [block]
-    for _ in range(m.n - 1):
-        block = at @ block
-        blocks.append(block)
-    return np.hstack(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m.n - 1):
+            block = at @ block
+            blocks.append(block)
+    obs = np.hstack(blocks)
+    if not np.isfinite(obs).all():
+        k = int(np.flatnonzero(~np.isfinite(obs).all(axis=0))[0]) // m.q
+        raise NonFiniteError(f"kalman-rank: the block (A^T)^{k} C^T overflows; "
+                             f"the rank test needs powers up to {m.n - 1}")
+    return obs
 
 
 def rank_test(m: StateSpaceModel, rel_tol: float | None = None) -> tuple[int, bool]:
@@ -131,39 +143,18 @@ def _finish_gramian(gram: np.ndarray, horizon: float, method: str,
                          positive_definite=positive_definite, min_pivot_or_eig=smallest)
 
 
-def _simpson_weights(intervals: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for an even interval count.
-
-    An odd count >= 3 is handled by closing with the 3/8 rule on the
-    last three intervals; a single interval falls back to the trapezoid
-    rule.  Both keep the weights usable on whatever grid a measured
-    trace provides.
-    """
-    w = np.zeros(intervals + 1)
-    if intervals == 1:
-        w[:] = 0.5
-    elif intervals % 2 == 0:
-        w[0] = w[-1] = 1.0 / 3.0
-        w[1:-1:2] = 4.0 / 3.0
-        w[2:-1:2] = 2.0 / 3.0
-    else:
-        head = intervals - 3
-        if head:
-            w[0] = 1.0 / 3.0
-            w[1:head:2] = 4.0 / 3.0
-            w[2:head:2] = 2.0 / 3.0
-        w[head] += 3.0 / 8.0
-        w[head + 1] = w[head + 2] = 9.0 / 8.0
-        w[head + 3] = 3.0 / 8.0
-    return w * h
-
-
-def _weighted_sums(m: StateSpaceModel, h: float, samples: np.ndarray,
-                   stage: str) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_sums(m: StateSpaceModel, h: float, weights: np.ndarray,
+                   samples: np.ndarray, stage: str) -> tuple[np.ndarray, np.ndarray]:
     """Sums over grid nodes k of w_k R_k^T R_k and of w_k R_k^T y_k, one
-    product each, with w_k the Simpson weights of step h for the samples
-    y_k and every R_k = C Phi(h)^k from one :func:`propagate`."""
-    weights = _simpson_weights(samples.shape[0] - 1, h)
+    product each, for the caller's weights w_k (already scaled by the step
+    h) on the samples y_k, with every R_k = C Phi(h)^k from one
+    :func:`propagate`.
+
+    :func:`gramian_quadrature` passes Simpson weights and reconstruction
+    the trapezoid rule.  For reconstruction any positive weights recover a
+    noiseless x0 exactly: both sums carry the same w_k, so
+    y_k = R_k x0 makes the second sum the first times x0.
+    """
     v = np.zeros((weights.size, m.q, m.n))
     v[0] = m.c
     rows = propagate(expm(m.a, h).T, v, stage).reshape(-1, m.n)
@@ -198,7 +189,11 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     if intervals < 2 or intervals % 2:
         raise ValueError(f"intervals must be even and >= 2, got {intervals}")
     h = horizon / intervals
-    gram, _ = _weighted_sums(m, h, np.zeros((intervals + 1, m.q)), "quadrature")
+    weights = np.full(intervals + 1, 2.0 / 3.0)
+    weights[1::2] = 4.0 / 3.0
+    weights[0] = weights[-1] = 1.0 / 3.0
+    gram, _ = _weighted_sums(m, h, weights * h, np.zeros((intervals + 1, m.q)),
+                             "quadrature")
     return _finish_gramian(gram, horizon, "quadrature", pd_tol)
 
 
@@ -308,16 +303,23 @@ def reconstruction_normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gramian and moment vector for initial-state recovery, on the trace's grid.
 
-    With R_k = C Phi(dt)^k and w_k the Simpson weights, gram sums
-    w_k R_k^T R_k and moment sums w_k R_k^T y_k.  Both sides use the same
-    weights, so for noiseless data the solve returns x0 up to rounding
-    regardless of quadrature error: the weighted sums satisfy
-    gram @ x0 = moment identically when y(t_k) = C e^{A t_k} x0.
+    With R_k = C Phi(dt)^k and w_k the trapezoid weights (dt at every
+    sample, dt/2 at the first and the last), gram sums w_k R_k^T R_k and
+    moment sums w_k R_k^T y_k; one rule serves every trace of two or more
+    samples.  Both sides use the same weights, so for noiseless data the
+    solve returns x0 up to rounding whatever the quadrature error: the
+    weighted sums satisfy gram @ x0 = moment identically when
+    y(t_k) = C e^{A t_k} x0, for any positive weights.  The weights do
+    shape the answer on noisy data, which the solve fits in the weighted
+    least-squares sense; near-equal weights keep its variance low.
 
     Returns:
         (gram, moment) with gram symmetric n x n and moment length n.
     """
-    gram, moment = _weighted_sums(m, y.dt, _free_output(m, y, u), "reconstruct")
+    samples = _free_output(m, y, u)
+    weights = np.full(samples.shape[0], y.dt)
+    weights[0] = weights[-1] = 0.5 * y.dt
+    gram, moment = _weighted_sums(m, y.dt, weights, samples, "reconstruct")
     return 0.5 * (gram + gram.T), moment
 
 

@@ -293,6 +293,17 @@ def test_cardio_unstable_ode_route_is_an_error(capsys):
     assert err.startswith("error: lyapunov-ode")
 
 
+@pytest.mark.parametrize("stiffness,flag", [
+    ("0", "--pd-tol=-1"),  # would pass the singular Gramian
+    ("2", "--pd-tol=nan"), ("2", "--pd-tol=inf"),  # would fail the definite one
+    ("2", "--rank-tol=nan"), ("2", "--rank-tol=inf"),  # would report rank 0/2
+])
+def test_bad_tolerance_flag_is_an_error(capsys, stiffness, flag):
+    err = _numeric_failure(["cardio", "--mass", "1", "--damping", "0.5",
+                            "--stiffness", stiffness, flag], capsys)
+    assert "must be" in err and "finite" in err
+
+
 def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path, stiffness=2.0)
     err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",

@@ -9,6 +9,7 @@ from observkit.linalg import (
     SingularMatrixError,
     as_matrix,
     as_vector,
+    definiteness,
     expm,
     is_positive_definite,
     rank,
@@ -133,6 +134,28 @@ def test_rank_rejects_nonpositive_tolerance():
         for m in (np.eye(2), [[1.0, 2.0], [2.0, 4.0]]):
             with pytest.raises(ValueError, match="rel_tol must be positive"):
                 solve(m, [1.0, 1.0], rel_tol=tol)
+
+
+def test_rank_rejects_nonfinite_tolerance():
+    # NaN compares false against every singular value and inf puts them
+    # all below the threshold, so either would report rank 0
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            rank(np.eye(2), rel_tol=tol)
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            solve(np.eye(2), [1.0, 1.0], rel_tol=tol)
+
+
+def test_definiteness_rejects_bad_tolerance():
+    # a negative tol passes a singular matrix, NaN or inf fails every one
+    singular = np.array([[0.0, 0.0], [0.0, 1.0]])
+    for tol in (-1.0, -1e-12, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            definiteness(singular, tol)
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            is_positive_definite(np.eye(2), tol)
+    assert is_positive_definite(np.eye(2), 0.0)
+    assert not is_positive_definite(singular, 0.0)
 
 
 def test_empty_matrix_default_tolerance_is_positive():

@@ -149,6 +149,19 @@ def test_overflow_names_the_stage():
             analyze(m, 20.0)
 
 
+def test_observability_matrix_overflow_names_the_stage():
+    # (1e40)^8 overflows: the rank route fails first, naming itself
+    m = make_model(-1e40 * np.eye(12), np.ones((12, 1)), np.ones((1, 12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"kalman-rank: .*\^8 C\^T overflows"):
+            observability_matrix(m)
+        with pytest.raises(NonFiniteError, match="kalman-rank"):
+            analyze(m, 1.0)
+        with pytest.raises(NonFiniteError, match="kalman-rank"):
+            rank_test(m)
+
+
 def test_gramian_doubling_matches_oracle():
     cases = [(build_cardio_model(CardioParams(*p)), horizon) for p, horizon in (
         ((0.5, 0.5, 100.0), 50.0), ((1.0, 0.5, 2.0), 1.0), ((0.5, 0.0, 0.1), 1.0),
@@ -366,8 +379,8 @@ def test_reconstruct_forced_round_trip():
 
 
 def test_reconstruct_handles_odd_interval_count():
-    # 999 intervals closes with the 3/8 rule; matched weights keep the
-    # round trip exact regardless
+    # the trapezoid weights take any interval count, odd ones included;
+    # matched weights on both sides keep the round trip exact
     m = table_model()
     x0 = np.array([-0.4, 1.1])
     _, ys = simulate_free(m, x0, 0.0, 1e-3, 999)
@@ -376,8 +389,8 @@ def test_reconstruct_handles_odd_interval_count():
 
 
 def test_reconstruct_from_two_samples():
-    # a single interval falls back to the trapezoid rule; two output
-    # samples determine the planar state, if barely
+    # one interval weighs both samples dt/2 by the same trapezoid rule;
+    # two output samples determine the planar state, if barely
     m = table_model()
     x0 = np.array([0.6, -0.2])
     _, ys = simulate_free(m, x0, 0.0, 1e-3, 1)
@@ -422,15 +435,64 @@ def test_reconstruct_validates_traces():
         reconstruct_initial_state(m, ys, bad_grid)
 
 
+def _trapezoid_stack(m, dt, samples):
+    """Rows C expm(A k dt) of every sample k, each output row scaled by the
+    square root of its trapezoid weight (dt, dt/2 at both ends)."""
+    sla = pytest.importorskip("scipy.linalg")
+    w = np.full(samples, dt)
+    w[0] = w[-1] = dt / 2
+    rows = np.stack([m.c @ sla.expm(m.a * (k * dt)) for k in range(samples)])
+    return np.sqrt(w)[:, None, None] * rows, np.sqrt(w)[:, None]
+
+
 def test_normal_equations_match_direct_gramian():
-    # same weights on both sides is what makes the solve exact; the
-    # Gramian assembled on the trace grid should agree with the
-    # standalone quadrature at matching resolution
+    # the Gramian assembled on the trace grid is the trapezoid sum of
+    # R_k^T R_k over the samples, R_k = C e^{A k dt}
     m = table_model()
     _, ys = simulate_free(m, [1.0, 0.0], 0.0, 1e-2, 100)
     gram, _ = reconstruction_normal_equations(m, ys)
-    direct = gramian_quadrature(m, 1.0, 100).gramian
+    rows, _ = _trapezoid_stack(m, 1e-2, 101)
+    direct = np.einsum("kqi,kqj->ij", rows, rows)
     np.testing.assert_allclose(gram, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("intervals", [5, 7, 999])
+def test_reconstruction_gramian_is_accurate_on_odd_grids(intervals):
+    # every interval count gets the same rule, so odd grids are as close
+    # to the exact Gramian as even ones: within the trapezoid error
+    # (dt A)^2 / 12 ~ 1e-6 relative
+    m = table_model()
+    _, ys = simulate_free(m, [1.0, -0.5], 0.0, 1e-3, intervals)
+    gram, _ = reconstruction_normal_equations(m, ys)
+    exact = gramian_doubling(m, ys.duration).gramian
+    assert np.linalg.norm(gram - exact) <= 1e-5 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_reconstruct_is_trapezoid_weighted_least_squares(forced):
+    # on a noisy trace x0 minimizes sum_k w_k |C e^{A t_k} x0 - y_k|^2
+    # with the trapezoid weights w_k; the oracle solves that problem by
+    # lstsq on the sqrt(w)-scaled stack
+    rng = np.random.default_rng(60)
+    m = table_model()
+    dt, intervals = 1e-2, 151
+    x0 = np.array([0.8, -0.3])
+    if forced:
+        u = Trace(0.0, dt, rng.standard_normal((intervals + 1, 1)))
+        _, ys = simulate_forced(m, x0, u)
+        free = ys.samples - simulate_forced(m, np.zeros(2), u)[1].samples
+    else:
+        u = None
+        _, ys = simulate_free(m, x0, 0.0, dt, intervals)
+        free = ys.samples
+    noise = 0.01 * rng.standard_normal(ys.samples.shape)
+    noisy = Trace(0.0, dt, ys.samples + noise)
+    rows, sqrt_w = _trapezoid_stack(m, dt, intervals + 1)
+    want = np.linalg.lstsq(rows.reshape(-1, 2), (sqrt_w * (free + noise)).ravel(),
+                           rcond=None)[0]
+    got = reconstruct_initial_state(m, noisy, u)
+    assert np.linalg.norm(got - x0) > 1e-4  # the noise does move the estimate
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_reconstruct_with_gramian_returns_the_solved_system():
