@@ -22,6 +22,7 @@ does not involve B either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from observkit.lti import StateSpaceModel, make_model
@@ -35,9 +36,9 @@ class CardioParams:
     """Physical parameters of the table.
 
     Attributes:
-        mass: combined person + platform mass M in kg, strictly positive.
-        damping: viscous damping beta in N s/m, nonnegative.
-        stiffness: spring stiffness gamma in N/m.
+        mass: combined person + platform mass M in kg, positive and finite.
+        damping: viscous damping beta in N s/m, nonnegative and finite.
+        stiffness: spring stiffness gamma in N/m, finite.
     """
 
     mass: float
@@ -48,10 +49,13 @@ class CardioParams:
         object.__setattr__(self, "mass", float(self.mass))
         object.__setattr__(self, "damping", float(self.damping))
         object.__setattr__(self, "stiffness", float(self.stiffness))
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.damping < 0:
-            raise ValueError(f"damping must be nonnegative, got {self.damping}")
+        # an infinite mass would zero -gamma/M and so certify the wrong table
+        if not 0 < self.mass < math.inf:  # also false for NaN
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be nonnegative and finite, got {self.damping}")
+        if not math.isfinite(self.stiffness):
+            raise ValueError(f"stiffness must be finite, got {self.stiffness}")
 
 
 def build_cardio_model(p: CardioParams) -> StateSpaceModel:

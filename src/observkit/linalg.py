@@ -66,6 +66,17 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def as_count(value, name: str) -> int:
+    """``value`` as a Python int: ints, numpy integers and floats with an
+    integral value pass; anything else (a fraction, NaN, an infinity, a
+    bool or a string) raises ``ValueError`` naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 # Degree-6 diagonal Pade coefficients for exp(x), scaled to integers.
 _PADE6 = (479001600.0, 239500800.0, 54432000.0, 7257600.0,
           604800.0, 30240.0, 720.0)

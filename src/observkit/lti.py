@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from observkit.linalg import NonFiniteError, ShapeMismatchError, as_matrix, as_vector, expm
+from observkit.linalg import (NonFiniteError, ShapeMismatchError, as_count, as_matrix,
+                              as_vector, expm)
 
 __all__ = [
     "StateSpaceModel",
@@ -183,7 +184,7 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     x0 = _check_x0(m, x0)
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    steps = int(steps)
+    steps = as_count(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     v = np.zeros((steps + 1, m.n))

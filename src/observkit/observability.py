@@ -13,7 +13,9 @@ Two tests of the same property:
   The equation is linear and A^T W and W A commute as operators on W, so
   one RK4 step of size h is exactly W -> sum_{i+l<=4} P_i^T W P_l + G with
   P_i = (hA)^i / i! and a constant G (:func:`gramian_ode`): the factors
-  are built once and each step is two matrix products.  Composite
+  and two work buffers are built once per call, and each step is two
+  2-D matrix products into those buffers plus a transposed copy and two
+  in-place additions, with no allocation.  Composite
   Simpson quadrature (:func:`gramian_quadrature`) is a third route, on a
   grid the caller picks.
 
@@ -37,6 +39,7 @@ from observkit.linalg import (
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    as_count,
     definiteness,
     expm,
     expm_squarings,
@@ -185,7 +188,7 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
         ValueError: nonpositive horizon or odd/low interval count.
     """
     horizon = _check_horizon(horizon)
-    intervals = int(intervals)
+    intervals = as_count(intervals, "intervals")
     if intervals < 2 or intervals % 2:
         raise ValueError(f"intervals must be even and >= 2, got {intervals}")
     h = horizon / intervals
@@ -246,11 +249,19 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     same map as the four stages, in another rounding order.  W stays
     symmetric, so the (i, l) and (l, i) terms pair up and the step is
     Y + Y^T + G with Y = W R_0 + P_1^T W R_1 + P_2^T W R_2,
-    R_0 = I/2 + P_1 + P_2 + P_3 + P_4, R_1 = P_1/2 + P_2 + P_3, R_2 = P_2/2:
-    two matrix products per step on the stacked factors.
+    R_0 = I/2 + P_1 + P_2 + P_3 + P_4, R_1 = P_1/2 + P_2 + P_3, R_2 = P_2/2.
+
+    The factors are laid out as two n x 3n matrices, right = [R_0 R_1 R_2]
+    and left with left[c, 3a + j] = (P_j^T)[c, a].  Row a of W @ right
+    holds the rows a of W R_0, W R_1 and W R_2 side by side, so the same
+    buffer read as 3n x n has row 3a + j equal to row a of W R_j, and
+    left times it is Y.  The buffers for W @ right (n x 3n) and Y (n x n)
+    are allocated once per call; each step is the two 2-D products into
+    them, then W = Y^T + Y + G by a transposed copy and two in-place
+    additions, and allocates nothing.
     """
     horizon = _check_horizon(horizon)
-    steps = int(steps)
+    steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     ctc = m.c.T @ m.c
@@ -265,12 +276,18 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
         for j in (4, 3, 2):  # Horner: G = h (Q + hL/2 (Q + hL/3 (Q + hL/4 Q)))
             g = ctc + (h / j) * (m.a.T @ g + g @ m.a)
         g = h * g
-        left = np.hstack([eye, p[1].T, p[2].T])
-        right = np.stack([0.5 * eye + p[1] + p[2] + p[3] + p[4],
-                          0.5 * p[1] + p[2] + p[3], 0.5 * p[2]])
-        for _ in range(steps):  # w @ right stacks W R_0, W R_1, W R_2
-            y = left @ (w @ right).reshape(3 * m.n, m.n)
-            w = y + y.T + g
+        left = np.stack([eye, p[1].T, p[2].T], axis=2).reshape(m.n, 3 * m.n)
+        right = np.hstack([0.5 * eye + p[1] + p[2] + p[3] + p[4],
+                           0.5 * p[1] + p[2] + p[3], 0.5 * p[2]])
+        wr = np.empty((m.n, 3 * m.n))
+        stack = wr.reshape(3 * m.n, m.n)
+        y = np.empty((m.n, m.n))
+        for _ in range(steps):  # stack is wr read as 3n x n, so left @ stack = Y
+            np.dot(w, right, out=wr)
+            np.dot(left, stack, out=y)
+            w[...] = y.T  # a copy; an add with a transposed operand is slower
+            w += y
+            w += g
     if not np.isfinite(w).all():  # a non-finite W stays non-finite
         raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
                              f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "

@@ -19,6 +19,22 @@ def test_params_validation():
         CardioParams(mass=1.0, damping=-0.1, stiffness=1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # an infinite mass would zero -gamma/M: the zero-stiffness table
+    ("mass", np.inf, "mass must be positive and finite, got inf"),
+    ("mass", np.nan, "mass must be positive and finite, got nan"),
+    ("damping", np.inf, "damping must be nonnegative and finite, got inf"),
+    ("damping", np.nan, "damping must be nonnegative and finite, got nan"),
+    ("stiffness", np.inf, "stiffness must be finite, got inf"),
+    ("stiffness", -np.inf, "stiffness must be finite, got -inf"),
+    ("stiffness", np.nan, "stiffness must be finite, got nan"),
+])
+def test_params_reject_non_finite(field, value, message):
+    params = {"mass": 1.0, "damping": 0.5, "stiffness": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CardioParams(**params)
+
+
 def test_build_undamped_unit_table():
     m = build_cardio_model(CardioParams(mass=1.0, damping=0.0, stiffness=1.0))
     np.testing.assert_array_equal(m.a, [[0.0, 1.0], [-1.0, 0.0]])

@@ -287,6 +287,21 @@ def _numeric_failure(argv, capsys):
     return err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--mass", "inf", "mass must be positive and finite, got inf"),
+    ("--mass", "nan", "mass must be positive and finite, got nan"),
+    ("--damping", "nan", "damping must be nonnegative and finite, got nan"),
+    ("--damping", "inf", "damping must be nonnegative and finite, got inf"),
+    ("--stiffness", "inf", "stiffness must be finite, got inf"),
+    ("--stiffness", "nan", "stiffness must be finite, got nan"),
+])
+def test_cardio_non_finite_parameter_is_an_error(capsys, flag, value, message):
+    argv = ["cardio", "--mass", "1", "--damping", "0.5", "--stiffness", "1"]
+    argv[argv.index(flag) + 1] = value
+    err = _numeric_failure(argv, capsys)
+    assert err == f"error: {message}\n"
+
+
 def test_cardio_unstable_ode_route_is_an_error(capsys):
     err = _numeric_failure(["cardio", "--mass", "0.5", "--damping", "0.5",
                             "--stiffness", "100", "--horizon", "200"], capsys)

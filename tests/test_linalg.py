@@ -7,6 +7,7 @@ from observkit.linalg import (
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    as_count,
     as_matrix,
     as_vector,
     definiteness,
@@ -26,6 +27,16 @@ def test_as_matrix_rejects_ragged_and_nonfinite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(NonFiniteError):
         as_vector([np.inf, 0.0])
+
+
+def test_as_count_accepts_whole_numbers_only():
+    for value in (3, np.int64(3), 3.0, np.float32(3.0), -2, 0.0):
+        got = as_count(value, "steps")
+        assert type(got) is int and got == value
+    for value in (2.9, -0.5, float("inf"), float("-inf"), float("nan"), True,
+                  "3", None, np.array([3])):
+        with pytest.raises(ValueError, match="^steps must be a whole number"):
+            as_count(value, "steps")
 
 
 def test_expm_zero_matrix_is_identity():

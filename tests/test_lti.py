@@ -133,6 +133,11 @@ def test_simulate_free_rejects_bad_arguments():
         simulate_free(oscillator(), [1.0, 2.0], dt=-0.1)
     with pytest.raises(ValueError):
         simulate_free(oscillator(), [1.0, 2.0], steps=-1)
+    for steps in (2.9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            simulate_free(oscillator(), [1.0, 2.0], steps=steps)
+    xs, _ = simulate_free(oscillator(), [1.0, 2.0], steps=np.float64(3.0))
+    assert xs.samples.shape == (4, 2)
 
 
 def test_zoh_discretize_zero_dynamics():

@@ -113,6 +113,11 @@ def test_gramian_quadrature_rejects_bad_arguments():
         gramian_quadrature(m, 1.0, intervals=7)
     with pytest.raises(ValueError):
         gramian_quadrature(m, 1.0, intervals=0)
+    for intervals in (2.9, float("inf")):
+        with pytest.raises(ValueError, match="intervals must be a whole number"):
+            gramian_quadrature(m, 1.0, intervals=intervals)
+    with pytest.raises(ValueError, match="intervals must be even and >= 2, got 3"):
+        gramian_quadrature(m, 1.0, intervals=3.0)
 
 
 def test_gramian_verdict_matches_is_positive_definite():
@@ -222,8 +227,13 @@ def test_gramian_ode_rejects_bad_arguments():
     m = table_model()
     with pytest.raises(ValueError):
         gramian_ode(m, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
         gramian_ode(m, 1.0, steps=0)
+    for steps in (2.9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            gramian_ode(m, 1.0, steps=steps)
+    np.testing.assert_array_equal(gramian_ode(m, 1.0, steps=np.float64(7.0)).gramian,
+                                  gramian_ode(m, 1.0, steps=np.int32(7)).gramian)
 
 
 def test_gramian_ode_instability_names_the_stage():
@@ -256,19 +266,35 @@ def four_stage_rk4_gramian(m, horizon, steps):
 
 def test_gramian_ode_matches_four_stage_rk4():
     rng = np.random.default_rng(62)
-    for n in (1, 2, 5, 12, 24):
-        for q in (1, 2):
-            m = make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
-                           rng.standard_normal((q, n)))
-            for horizon in (1.0, 5.0):
-                for steps in (1, 7, 1000):
-                    g = gramian_ode(m, horizon, steps)
-                    assert (g.method, g.horizon) == ("lyapunov-ode", horizon)
-                    want = four_stage_rk4_gramian(m, horizon, steps)
-                    want = 0.5 * (want + want.T)
-                    assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
+    runs = [(n, q, (1.0, 5.0), (1, 7, 1000)) for n in (1, 2, 5, 12, 24) for q in (1, 2)]
+    runs += [(50, 1, (1.0,), (1, 1000)), (6, 3, (1.0, 5.0), (1, 7, 1000))]
+    for n, q, horizons, step_counts in runs:
+        m = make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                       rng.standard_normal((q, n)))
+        for horizon in horizons:
+            for steps in step_counts:
+                g = gramian_ode(m, horizon, steps)
+                assert (g.method, g.horizon) == ("lyapunov-ode", horizon)
+                want = four_stage_rk4_gramian(m, horizon, steps)
+                want = 0.5 * (want + want.T)
+                assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
     m = make_model(rng.uniform(-2.0, 2.0, (5, 5)), np.ones((5, 1)), np.zeros((2, 5)))
     np.testing.assert_array_equal(gramian_ode(m, 5.0).gramian, np.zeros((5, 5)))
+
+
+def test_gramian_ode_results_are_isolated():
+    # the step buffers belong to one call: a call at another size between
+    # two calls changes nothing, and no two results share memory
+    rng = np.random.default_rng(63)
+    models = [make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                         rng.standard_normal((1, n))) for n in (2, 24, 2)]
+    results = [gramian_ode(m, 1.0).gramian for m in models]
+    for m, got in zip(models, results):
+        np.testing.assert_array_equal(got, gramian_ode(m, 1.0).gramian)
+        assert not got.flags.writeable
+    for i, first in enumerate(results):
+        for second in results[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 @settings(max_examples=40, deadline=None)
