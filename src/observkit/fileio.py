@@ -129,11 +129,44 @@ def load_model(path: str) -> StateSpaceModel:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _uniform_step(times: np.ndarray, fail) -> float:
+    """Mean step of a strictly increasing, uniformly spaced time column.
+
+    Each step may differ from the first by ``lti.GRID_RTOL`` of it plus
+    eight units in the last place of the largest |t|, which covers the
+    rounding that computing t0 + k dt leaves in two steps.  The mean step,
+    (t_last - t_first) / (len - 1), is returned, since one step carries
+    the rounding of two times undivided.  At the first sample k that
+    breaks the rule, raises ``fail(k, message)``.
+    """
+    steps = np.diff(times)
+    first = float(steps[0])
+    if first <= 0:
+        raise fail(1, "time column must be strictly increasing")
+    allowed = GRID_RTOL * first + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
+    bad = np.flatnonzero(np.abs(steps - first) > allowed)
+    if bad.size:
+        raise fail(int(bad[0]) + 1, f"non-uniform time step "
+                   f"{float(steps[bad[0]])!r}, expected {first!r}")
+    return (times[-1] - times[0]) / steps.size
+
+
 def save_trace(trace: Trace, path: str) -> None:
-    """Write a trace as CSV with header t,v1,...,vw."""
+    """Write a trace as CSV with header t,v1,...,vw.
+
+    Raises:
+        ValueError: the times t0 + k dt would fail :func:`load_trace`'s
+            grid rule (for instance dt is below the spacing of floats at
+            t0); nothing is written.
+    """
+    times = trace.times
+    if times.size > 1:
+        _uniform_step(times, lambda k, message: ValueError(
+            f"{path}: t0 = {trace.t0!r} and dt = {trace.dt!r} give sample {k} "
+            f"at t = {float(times[k])!r}: {message}"))
     width = trace.width
     header = "t," + ",".join(f"v{i + 1}" for i in range(width))
-    table = np.column_stack([trace.times, trace.samples])
+    table = np.column_stack([times, trace.samples])
     # one %-format over the whole table; "%.17g" prints what _emit prints
     row = ",".join(["%.17g"] * (width + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
@@ -143,15 +176,11 @@ def save_trace(trace: Trace, path: str) -> None:
 def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
-    The time column must be strictly increasing and uniformly spaced:
-    each step may differ from the first by ``lti.GRID_RTOL`` of it plus
-    eight units in the last place of the largest |t|, which covers the
-    rounding that computing t0 + k dt leaves in two steps.  The time step
-    is the mean step, (t_last - t_first) / (rows - 1), since one step
-    carries the rounding of two written times undivided.  At least two
-    rows are required, since a single row cannot determine the time
-    step.  Blank lines are skipped, and fields may carry surrounding
-    spaces.
+    The time column must be strictly increasing and uniformly spaced, by
+    the rule :func:`save_trace` also checks, and the time step is the mean
+    step (see :func:`_uniform_step`).  At least two rows are required,
+    since a single row cannot determine the time step.  Blank lines are
+    skipped, and fields may carry surrounding spaces.
 
     Raises:
         ParseError: with the offending line number.
@@ -199,17 +228,8 @@ def load_trace(path: str) -> Trace:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
-    times = table[:, 0]
-    steps = np.diff(times)
-    first = float(steps[0])
-    if first <= 0:
-        raise fail(2, "time column must be strictly increasing")
-    allowed = GRID_RTOL * first + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
-    bad = np.flatnonzero(np.abs(steps - first) > allowed)
-    if bad.size:
-        raise fail(int(bad[0]) + 2, f"non-uniform time step "
-                   f"{float(steps[bad[0]])!r}, expected {first!r}")
-    return Trace(t0=times[0], dt=(times[-1] - times[0]) / steps.size, samples=table[:, 1:])
+    dt = _uniform_step(table[:, 0], lambda k, message: fail(k + 1, message))
+    return Trace(t0=table[0, 0], dt=dt, samples=table[:, 1:])
 
 
 def _gramian_doc(g: GramianResult) -> dict:
@@ -238,7 +258,6 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
         "kalman_observable": report.kalman_observable,
         "gramian_observable": report.gramian_observable,
         "consistent": report.consistent,
-        "observability_matrix": report.observability_matrix.tolist(),
         "gramian": _gramian_doc(report.gramian),
         "gramian_ode": _gramian_doc(report.gramian_ode),
         "gramian_route_discrepancy": discrepancy,

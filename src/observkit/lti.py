@@ -182,8 +182,8 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
         (x trace, y trace), each with steps + 1 samples.
     """
     x0 = _check_x0(m, x0)
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     steps = as_count(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -8,16 +8,11 @@ Two tests of the same property:
   e^{A^T s} C^T C e^{A s} ds, positive definite exactly when observable.
   :func:`analyze` decides on the Gramian from :func:`gramian_doubling`
   (one Van Loan block exponential, then doubling up to T), which has no
-  discretisation, and cross-checks it with RK4 integration of the
-  differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0.
-  The equation is linear and A^T W and W A commute as operators on W, so
-  one RK4 step of size h is exactly W -> sum_{i+l<=4} P_i^T W P_l + G with
-  P_i = (hA)^i / i! and a constant G (:func:`gramian_ode`): the factors
-  and two work buffers are built once per call, and each step is two
-  2-D matrix products into those buffers plus a transposed copy and two
-  in-place additions, with no allocation.  Composite
-  Simpson quadrature (:func:`gramian_quadrature`) is a third route, on a
-  grid the caller picks.
+  discretisation.  :func:`gramian_ode`, RK4 integration of the
+  differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0,
+  is the independent cross-check that rides along in the report.
+  Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
+  route, on a grid the caller picks.
 
 When the Gramian is invertible the initial state is recoverable from an
 output trace:  x0 = M(0,T)^{-1} * integral of e^{A^T t} C^T y(t) dt,
@@ -88,10 +83,13 @@ class GramianResult:
 class ObservabilityReport:
     """Full certificate: rank route, Gramian route, and their agreement.
 
-    ``gramian`` holds the doubling result (the verdict-bearing route);
-    ``gramian_ode`` holds the independent Lyapunov-ODE cross-check.
-    ``consistent`` is false when the rank and Gramian verdicts disagree,
-    which signals a tolerance problem rather than a property of the model.
+    ``kalman_rank`` and ``kalman_observable`` are what :func:`rank_test`
+    returns; the observability matrix itself is not kept, since no verdict
+    reads it (call :func:`observability_matrix` to see it).  ``gramian``
+    holds the doubling result (the verdict-bearing route); ``gramian_ode``
+    holds the independent Lyapunov-ODE cross-check.  ``consistent`` is
+    false when the rank and Gramian verdicts disagree, which signals a
+    tolerance problem rather than a property of the model.
     """
 
     kalman_rank: int
@@ -99,7 +97,6 @@ class ObservabilityReport:
     kalman_observable: bool
     gramian_observable: bool
     consistent: bool
-    observability_matrix: np.ndarray
     gramian: GramianResult
     gramian_ode: GramianResult
 
@@ -110,13 +107,10 @@ def observability_matrix(m: StateSpaceModel) -> np.ndarray:
     Raises:
         NonFiniteError: a block overflows; the message names the power.
     """
-    at = m.a.T
-    block = m.c.T
-    blocks = [block]
+    blocks = [m.c.T]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(m.n - 1):
-            block = at @ block
-            blocks.append(block)
+            blocks.append(m.a.T @ blocks[-1])
     obs = np.hstack(blocks)
     if not np.isfinite(obs).all():
         k = int(np.flatnonzero(~np.isfinite(obs).all(axis=0))[0]) // m.q
@@ -391,24 +385,20 @@ def analyze(m: StateSpaceModel, horizon: float,
             pd_tol: float = DEFAULT_PD_TOL) -> ObservabilityReport:
     """Run the rank test and two Gramian routes; return the full certificate.
 
-    The Gramian verdict carried in ``gramian_observable`` comes from
+    The rank verdict comes from :func:`rank_test` at ``rank_tol``.  The
+    Gramian verdict carried in ``gramian_observable`` comes from
     :func:`gramian_doubling`, which has no discretisation to tune; the
-    Lyapunov-ODE result rides along for cross-checking.  ``consistent``
-    compares the rank verdict with the Gramian verdict.
+    :func:`gramian_ode` result rides along for cross-checking.
+    ``consistent`` compares the rank verdict with the Gramian verdict.
     """
-    obs = observability_matrix(m)
-    r = rank(obs, rank_tol)
-    kalman_observable = r == m.n
+    r, kalman_observable = rank_test(m, rank_tol)
     gram = gramian_doubling(m, horizon, pd_tol)
-    ode = gramian_ode(m, horizon, pd_tol=pd_tol)
-    gramian_observable = gram.positive_definite
     return ObservabilityReport(
         kalman_rank=r,
         rank_required=m.n,
         kalman_observable=kalman_observable,
-        gramian_observable=gramian_observable,
-        consistent=kalman_observable == gramian_observable,
-        observability_matrix=obs,
+        gramian_observable=gram.positive_definite,
+        consistent=kalman_observable == gram.positive_definite,
         gramian=gram,
-        gramian_ode=ode,
+        gramian_ode=gramian_ode(m, horizon, pd_tol=pd_tol),
     )

@@ -327,6 +327,16 @@ def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
     assert err.startswith("error: expm")
 
 
+def test_simulate_refuses_a_trace_it_could_not_load_again(tmp_path, capsys):
+    # 1e17 + 1 rounds to 1e17, so the time column would repeat
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,-0.5",
+                            "--t0", "1e17", "--dt", "1", "--steps", "10",
+                            "--out", str(tmp_path / "big")], capsys)
+    assert "t0 = 1e+17 and dt = 1.0" in err and "strictly increasing" in err
+    assert not list(tmp_path.glob("big*"))
+
+
 def test_reconstruct_writes_out_file(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     prefix = str(tmp_path / "sim")

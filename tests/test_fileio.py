@@ -137,6 +137,14 @@ def test_trace_writer_matches_per_field_formatting(tmp_path):
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
+def test_save_trace_refuses_a_grid_load_trace_would_reject(tmp_path):
+    path = tmp_path / "big.csv"
+    with pytest.raises(ValueError, match=r"t0 = 1e\+17 and dt = 1.0 give sample 1 at "
+                                         r"t = 1e\+17: time column must be strictly"):
+        save_trace(Trace(1e17, 1.0, np.zeros((11, 1))), str(path))
+    assert not path.exists()
+
+
 def test_load_trace_skips_blank_and_whitespace_lines(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("\n t , v1 \n\n0, 1\n   \n\t\n0.5 ,2 \n\n")
@@ -195,6 +203,11 @@ def test_report_document_shape():
     text = dump_report(report, "cardio-table")
     assert text == dump_report(report, "cardio-table")
     doc = json.loads(text)
+    assert list(doc) == ["model", "horizon", "observable", "kalman_rank", "rank_required",
+                         "kalman_observable", "gramian_observable", "consistent",
+                         "gramian", "gramian_ode", "gramian_route_discrepancy"]
+    assert list(doc["gramian"]) == ["method", "horizon", "positive_definite",
+                                    "min_eigenvalue", "matrix"]
     assert doc["model"] == "cardio-table"
     assert doc["observable"] is True
     assert doc["kalman_rank"] == 2
@@ -204,7 +217,6 @@ def test_report_document_shape():
     assert doc["gramian_ode"]["method"] == "lyapunov-ode"
     assert len(doc["gramian"]["matrix"]) == 2
     assert doc["gramian_route_discrepancy"] <= 1e-6
-    assert doc["observability_matrix"] == [[0.0, -2.0], [1.0, -0.5]]
 
 
 def test_vector_document():

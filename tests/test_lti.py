@@ -129,8 +129,9 @@ def test_simulate_free_zero_steps_gives_single_sample():
 def test_simulate_free_rejects_bad_arguments():
     with pytest.raises(ShapeMismatchError, match="width 2"):
         simulate_free(oscillator(), [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        simulate_free(oscillator(), [1.0, 2.0], dt=-0.1)
+    for dt in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            simulate_free(oscillator(), [1.0, 2.0], dt=dt)
     with pytest.raises(ValueError):
         simulate_free(oscillator(), [1.0, 2.0], steps=-1)
     for steps in (2.9, float("inf"), float("nan")):

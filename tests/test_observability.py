@@ -541,7 +541,6 @@ def test_analyze_table_certificate():
     assert report.consistent
     assert report.gramian.method == "doubling"
     assert report.gramian_ode.method == "lyapunov-ode"
-    assert report.observability_matrix.shape == (2, 2)
 
 
 def test_analyze_zero_output_map():
@@ -559,6 +558,17 @@ def test_analyze_full_output_map():
     m = make_model(rng.standard_normal((3, 3)), np.ones((3, 1)), np.eye(3))
     report = analyze(m, 1.0)
     assert report.kalman_observable and report.gramian_observable
+
+
+def test_analyze_takes_its_rank_from_rank_test_at_rank_tol():
+    # the 1e-9 coupling lifts the rank to 2 at the default tolerance, not at 1e-6
+    m = make_model([[0.0, 1e-9], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+    for rank_tol, want_rank, want_consistent in ((None, 2, False), (1e-6, 1, True)):
+        report = analyze(m, 1.0, rank_tol=rank_tol)
+        assert (report.kalman_rank, report.kalman_observable) == rank_test(m, rank_tol)
+        assert report.kalman_rank == want_rank
+        assert report.consistent is want_consistent
+        assert not report.gramian_observable
 
 
 def test_analyze_rejects_degenerate_horizon():
