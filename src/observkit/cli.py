@@ -135,12 +135,10 @@ def _cmd_simulate(args) -> int:
             raise _UsageError("--dt and --steps are required without --input")
         t0 = 0.0 if args.t0 is None else args.t0
         xs, ys = simulate_free(model, x0, t0=t0, dt=args.dt, steps=args.steps)
-    x_path = f"{args.out}_x.csv"
-    y_path = f"{args.out}_y.csv"
-    save_trace(xs, x_path)
-    save_trace(ys, y_path)
-    _status(f"wrote {x_path} ({xs.samples.shape[0]} samples, width {xs.width})")
-    _status(f"wrote {y_path} ({ys.samples.shape[0]} samples, width {ys.width})")
+    for suffix, trace in (("x", xs), ("y", ys)):
+        path = f"{args.out}_{suffix}.csv"
+        save_trace(trace, path)
+        _status(f"wrote {path} ({trace.samples.shape[0]} samples, width {trace.width})")
     return 0
 
 

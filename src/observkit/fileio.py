@@ -129,46 +129,23 @@ def load_model(path: str) -> StateSpaceModel:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _uniform_step(times: np.ndarray, fail) -> float:
-    """Mean step of a strictly increasing, uniformly spaced time column.
-
-    Each step may differ from the first by ``lti.GRID_RTOL`` of it plus
-    eight units in the last place of the largest |t|, which covers the
-    rounding that computing t0 + k dt leaves in two steps.  The mean step,
-    (t_last - t_first) / (len - 1), is returned, since one step carries
-    the rounding of two times undivided.  At the first sample k that
-    breaks the rule, raises ``fail(k, message)``.
-    """
-    steps = np.diff(times)
-    first = float(steps[0])
-    if first <= 0:
-        raise fail(1, "time column must be strictly increasing")
-    allowed = GRID_RTOL * first + 8 * np.spacing(max(abs(times[0]), abs(times[-1])))
-    bad = np.flatnonzero(np.abs(steps - first) > allowed)
-    if bad.size:
-        raise fail(int(bad[0]) + 1, f"non-uniform time step "
-                   f"{float(steps[bad[0]])!r}, expected {first!r}")
-    return (times[-1] - times[0]) / steps.size
-
-
 def save_trace(trace: Trace, path: str) -> None:
     """Write a trace as CSV with header t,v1,...,vw.
 
+    Every :class:`~observkit.lti.Trace` of two or more samples loads
+    again, since ``Trace`` itself rejects a grid whose times would repeat.
+
     Raises:
-        ValueError: the times t0 + k dt would fail :func:`load_trace`'s
-            grid rule (for instance dt is below the spacing of floats at
-            t0); nothing is written.
+        ValueError: the trace has fewer than two samples, which
+            :func:`load_trace` could not read back; nothing is written.
     """
-    times = trace.times
-    if times.size > 1:
-        _uniform_step(times, lambda k, message: ValueError(
-            f"{path}: t0 = {trace.t0!r} and dt = {trace.dt!r} give sample {k} "
-            f"at t = {float(times[k])!r}: {message}"))
-    width = trace.width
-    header = "t," + ",".join(f"v{i + 1}" for i in range(width))
-    table = np.column_stack([times, trace.samples])
+    if trace.samples.shape[0] < 2:
+        raise ValueError(f"{path}: a trace needs at least two samples for load_trace to "
+                         f"infer its time step, got {trace.samples.shape[0]}; nothing written")
+    header = "t," + ",".join(f"v{i + 1}" for i in range(trace.width))
+    table = np.column_stack([trace.times, trace.samples])
     # one %-format over the whole table; "%.17g" prints what _emit prints
-    row = ",".join(["%.17g"] * (width + 1)) + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
@@ -176,11 +153,14 @@ def save_trace(trace: Trace, path: str) -> None:
 def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
-    The time column must be strictly increasing and uniformly spaced, by
-    the rule :func:`save_trace` also checks, and the time step is the mean
-    step (see :func:`_uniform_step`).  At least two rows are required,
-    since a single row cannot determine the time step.  Blank lines are
-    skipped, and fields may carry surrounding spaces.
+    The time column must be strictly increasing, every step counted, and
+    uniformly spaced: each step may differ from the first by
+    ``lti.GRID_RTOL`` of it plus eight units in the last place of the
+    largest |t|.  The time step is the mean step,
+    (t_last - t_first) / (rows - 1), and the grid it gives must pass
+    :class:`~observkit.lti.Trace`'s own rule.  At least two rows are
+    required, since a single row cannot determine the time step.  Blank
+    lines are skipped, and fields may carry surrounding spaces.
 
     Raises:
         ParseError: with the offending line number.
@@ -228,8 +208,23 @@ def load_trace(path: str) -> Trace:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
-    dt = _uniform_step(table[:, 0], lambda k, message: fail(k + 1, message))
-    return Trace(t0=table[0, 0], dt=dt, samples=table[:, 1:])
+    # each step may differ from the first by GRID_RTOL of it plus eight
+    # units in the last place of the largest |t|: the rounding that
+    # computing t0 + k dt leaves in two steps
+    steps = np.diff(table[:, 0])
+    off = np.abs(steps - steps[0]) > GRID_RTOL * steps[0] + 8 * np.spacing(
+        max(abs(table[0, 0]), abs(table[-1, 0])))
+    bad = np.flatnonzero(off | (steps <= 0))
+    if bad.size:  # step k ends at sample k + 1, which is rows[k + 2]
+        k = int(bad[0])
+        # past the first step, a step off the grid keeps the non-uniform
+        # message even when it is not positive
+        raise fail(k + 2, "time column must be strictly increasing" if not (k and off[k]) else
+                   f"non-uniform time step {float(steps[k])!r}, expected {float(steps[0])!r}")
+    try:  # the mean step, since one step carries the rounding of two times
+        return Trace(table[0, 0], (table[-1, 0] - table[0, 0]) / steps.size, table[:, 1:])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _gramian_doc(g: GramianResult) -> dict:

@@ -65,6 +65,16 @@ class Trace:
     """Uniformly sampled vector signal.
 
     Row ``k`` of ``samples`` is the signal value at time ``t0 + k*dt``.
+    This class owns the grid rule: t0 must be finite, dt finite and
+    positive, and the sample times t0 + k*dt, as computed in double
+    precision, finite and strictly increasing.  So dt may not fall far
+    below the spacing of floats at t0 (at t0 = 1e17, where floats are 16
+    apart, dt = 10 repeats a time), and every trace of two or more
+    samples survives a CSV round trip.
+
+    Raises:
+        ValueError: naming t0, dt and the first sample k, with its time,
+            that breaks the rule.
     """
 
     t0: float
@@ -80,6 +90,14 @@ class Trace:
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "samples", samples)
+        with np.errstate(over="ignore"):  # an infinite time is reported below
+            times = self.times
+        ok = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            rule = "strictly increasing" if np.isfinite(times[k]) else "finite"
+            raise ValueError(f"t0 = {t0!r} and dt = {dt!r} give sample {k} at "
+                             f"t = {float(times[k])!r}: time column must be {rule}")
 
     @property
     def width(self) -> int:

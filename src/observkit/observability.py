@@ -297,8 +297,6 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
         raise ValueError("output trace needs at least two samples to span a window")
     if u is None:
         return y.samples
-    if u.width != m.p:
-        raise ShapeMismatchError(f"input trace must have width {m.p}, got {u.width}")
     if u.samples.shape[0] != y.samples.shape[0]:
         raise ValueError(
             f"input and output traces must share a grid: {u.samples.shape[0]} vs "

@@ -139,15 +139,16 @@ def test_simulate_free_velocity_output(tmp_path, capsys):
 
 
 def test_simulate_zero_steps_single_row(tmp_path, capsys):
+    # one row cannot give load_trace a time step, so simulate refuses to
+    # write it: exit 1, one error line, and neither CSV
     model_path = cardio_model_file(tmp_path)
-    prefix = str(tmp_path / "still")
     rc = main(["simulate", "--model", model_path, "--x0", "1,0",
-               "--dt", "0.1", "--steps", "0", "--out", prefix])
-    capsys.readouterr()
-    assert rc == 0
-    lines = (tmp_path / "still_x.csv").read_text().splitlines()
-    assert len(lines) == 2  # header plus the initial condition
-    assert lines[1] == "0,1,0"
+               "--dt", "0.1", "--steps", "0", "--out", str(tmp_path / "still")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "at least two samples" in err and "got 1" in err
+    assert not list(tmp_path.glob("still*"))
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
@@ -335,6 +336,25 @@ def test_simulate_refuses_a_trace_it_could_not_load_again(tmp_path, capsys):
                             "--out", str(tmp_path / "big")], capsys)
     assert "t0 = 1e+17 and dt = 1.0" in err and "strictly increasing" in err
     assert not list(tmp_path.glob("big*"))
+
+
+def test_simulate_refuses_repeated_times(tmp_path, capsys):
+    # the spacing of floats at 1e17 is 16, so t0 + k * 10 repeats a time
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,-0.5",
+                            "--t0", "1e17", "--dt", "10", "--steps", "10",
+                            "--out", str(tmp_path / "big")], capsys)
+    assert "t0 = 1e+17 and dt = 10.0 give sample 2 at t = 1.0000000000000002e+17" in err
+    assert not list(tmp_path.glob("big*"))
+
+
+def test_reconstruct_names_the_line_of_a_repeated_time(tmp_path, capsys):
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    y_path = tmp_path / "repeat_y.csv"
+    y_path.write_text("t,v1\n1e+17,0\n1.0000000000000002e+17,1\n"
+                      "1.0000000000000002e+17,2\n1.0000000000000005e+17,3\n")
+    err = _numeric_failure(["reconstruct", "--model", model_path, str(y_path)], capsys)
+    assert err == f"error: {y_path}: line 4: time column must be strictly increasing\n"
 
 
 def test_reconstruct_writes_out_file(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from observkit.fileio import (
     ParseError,
@@ -14,7 +16,7 @@ from observkit.fileio import (
     save_model,
     save_trace,
 )
-from observkit.lti import Trace, make_model
+from observkit.lti import GRID_RTOL, Trace, make_model
 from observkit.observability import analyze
 
 
@@ -143,6 +145,68 @@ def test_save_trace_refuses_a_grid_load_trace_would_reject(tmp_path):
                                          r"t = 1e\+17: time column must be strictly"):
         save_trace(Trace(1e17, 1.0, np.zeros((11, 1))), str(path))
     assert not path.exists()
+
+
+@st.composite
+def _grids(draw):
+    """(t0, dt) over |t0| <= 1e18, with dt either anywhere in 1e-9..1e4 or
+    within a small factor of the spacing of floats at t0."""
+    t0 = draw(st.floats(-1e18, 1e18))
+    if draw(st.booleans()):
+        return t0, max(float(np.spacing(abs(t0))) * draw(st.floats(0.25, 40.0)), 5e-324)
+    return t0, 10.0 ** draw(st.floats(-9.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_grids(), count=st.integers(2, 40), width=st.integers(1, 3),
+       data=st.data())
+def test_every_trace_that_constructs_loads_again(tmp_path_factory, grid, count, width, data):
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=count * width, max_size=count * width))
+    try:
+        trace = Trace(*grid, np.reshape(values, (count, width)))
+    except ValueError as exc:
+        assert "time column must be" in str(exc)
+        assume(False)
+    path = str(tmp_path_factory.mktemp("grid") / "trace.csv")
+    save_trace(trace, path)
+    back = load_trace(path)
+    assert back.t0 == trace.t0
+    assert back.samples.tobytes() == trace.samples.tobytes()
+    # the file holds the rounded times t0 + k dt, so the mean step can
+    # also be off by the spacing of floats at the largest |t| per step
+    # (t0 = 1, dt = 1.5 spacings gives the times 1 and 1 + 2 spacings)
+    ulp = np.spacing(np.abs(trace.times[[0, -1]]).max())
+    assert abs(back.dt - trace.dt) <= GRID_RTOL * trace.dt + 4 * ulp / (count - 1)
+
+
+def test_save_trace_refuses_a_single_sample(tmp_path):
+    path = tmp_path / "one.csv"
+    with pytest.raises(ValueError, match="at least two samples for load_trace to infer its "
+                                         "time step, got 1"):
+        save_trace(Trace(0.0, 0.1, [[1.0, 0.0]]), str(path))
+    assert not path.exists()
+
+
+def test_load_trace_names_the_line_of_a_repeated_time(tmp_path):
+    # floats are 16 apart at 1e17, so the zero step lies within the 8-ulp
+    # allowance of the first; still, no time may repeat
+    path = tmp_path / "repeat.csv"
+    path.write_text("t,v1\n1e+17,0\n1.0000000000000002e+17,1\n"
+                    "1.0000000000000002e+17,2\n1.0000000000000005e+17,3\n")
+    with pytest.raises(ParseError, match="line 4: time column must be strictly increasing"):
+        load_trace(str(path))
+
+
+def test_load_trace_rejects_a_mean_step_whose_grid_repeats_a_time(tmp_path):
+    # the steps are 16 below 2**57 and 32 above it, within the allowance;
+    # their mean, 24, is below the spacing of floats past 2**57
+    times = [2.0**57 + 16 * k for k in range(-10, 1)] + [2.0**57 + 32 * k for k in range(1, 11)]
+    path = tmp_path / "binade.csv"
+    path.write_text("t,v1\n" + "".join(f"{t!r},0\n" for t in times))
+    with pytest.raises(ParseError, match=r"binade.csv: t0 = .* and dt = 24.0 give sample \d+ "
+                                         r"at t = .*: time column must be strictly increasing"):
+        load_trace(str(path))
 
 
 def test_load_trace_skips_blank_and_whitespace_lines(tmp_path):

@@ -64,6 +64,21 @@ def test_trace_rejects_non_finite_grid():
             Trace(t0, dt, [[1.0]])
 
 
+@pytest.mark.filterwarnings("error")  # an overflowing time is an error, not a warning
+def test_trace_rejects_times_that_repeat_or_overflow():
+    # the spacing of floats at 1e17 is 16: 1e17 + 10 and 1e17 + 20 both
+    # round to 1e17 + 16
+    with pytest.raises(ValueError, match=r"t0 = 1e\+17 and dt = 10.0 give sample 2 at "
+                                         r"t = 1.0000000000000002e\+17: time column must be "
+                                         r"strictly increasing"):
+        Trace(1e17, 10.0, np.zeros((11, 1)))
+    with pytest.raises(ValueError, match=r"give sample 2 at t = inf: time column must be finite"):
+        Trace(0.0, 1e308, np.zeros((3, 1)))
+    # a step of one spacing passes, and so does a one-sample trace
+    assert Trace(1e17, 16.0, np.zeros((11, 1))).times[-1] == 1e17 + 160
+    Trace(1e17, 1.0, np.zeros((1, 1)))
+
+
 def test_transition_matrix_at_zero_is_identity():
     m = oscillator(damping=0.7, stiffness=3.0)
     np.testing.assert_array_equal(transition_matrix(m, 0.0), np.eye(2))
