@@ -88,14 +88,13 @@ def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     human verdict to stderr; return the exit code."""
     report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
     _emit_doc(dump_report(report, model.name), out_path)
-    observable = report.kalman_observable and report.gramian_observable
     if not report.consistent:
         _status(_style(
             "warning: Kalman rank and Gramian verdicts disagree; "
             "re-run with tighter tolerances or a longer horizon", "yellow"))
     label = model.name or "model"
     horizon = report.gramian.horizon
-    if observable:
+    if report.observable:
         _status(_style(
             f"{label}: completely observable over [0, {horizon:g}] "
             f"(rank {report.kalman_rank}/{report.rank_required}, "
@@ -148,11 +147,8 @@ def _cmd_reconstruct(args) -> int:
     u = _load_input_trace(args, model)
     x0, gram = reconstruct_with_gramian(model, y, u, horizon=args.horizon)
     condition = float(np.linalg.cond(gram))
-    doc = dump_vector_doc("x0", x0, {
-        "horizon": y.duration,
-        "gramian_condition": condition,
-    })
-    _emit_doc(doc, args.out)
+    _emit_doc(dump_vector_doc("x0", x0, {"horizon": y.duration, "gramian_condition": condition}),
+              args.out)
     _status(_style(
         f"reconstructed x0 over [0, {y.duration:g}] "
         f"(Gramian condition {condition:.3e})", "green"))

@@ -7,8 +7,7 @@ identical inputs produce byte-identical files.
 Model document:  {"name": ..., "a": [[...]], "b": [[...]], "c": [[...]]}
 Trace file:      header "t,v1,...,vw", one comma-separated row per sample,
                  t column strictly increasing and uniformly spaced
-                 (relative tolerance ``lti.GRID_RTOL``, plus the rounding
-                 of the written times).
+                 (every step agreeing with the first by ``lti.times_agree``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 
 import numpy as np
 
-from observkit.lti import GRID_RTOL, StateSpaceModel, Trace, make_model
+from observkit.lti import StateSpaceModel, Trace, make_model, times_agree
 from observkit.observability import GramianResult, ObservabilityReport
 
 __all__ = [
@@ -154,9 +153,8 @@ def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
     The time column must be strictly increasing, every step counted, and
-    uniformly spaced: each step may differ from the first by
-    ``lti.GRID_RTOL`` of it plus eight units in the last place of the
-    largest |t|.  The time step is the mean step,
+    uniformly spaced: each step must agree with the first by
+    :func:`~observkit.lti.times_agree`.  The time step is the mean step,
     (t_last - t_first) / (rows - 1), and the grid it gives must pass
     :class:`~observkit.lti.Trace`'s own rule.  At least two rows are
     required, since a single row cannot determine the time step.  Blank
@@ -208,12 +206,8 @@ def load_trace(path: str) -> Trace:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
-    # each step may differ from the first by GRID_RTOL of it plus eight
-    # units in the last place of the largest |t|: the rounding that
-    # computing t0 + k dt leaves in two steps
     steps = np.diff(table[:, 0])
-    off = np.abs(steps - steps[0]) > GRID_RTOL * steps[0] + 8 * np.spacing(
-        max(abs(table[0, 0]), abs(table[-1, 0])))
+    off = ~times_agree(steps, steps[0], steps[0], table[0, 0], table[-1, 0])
     bad = np.flatnonzero(off | (steps <= 0))
     if bad.size:  # step k ends at sample k + 1, which is rows[k + 2]
         k = int(bad[0])
@@ -247,7 +241,7 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
     doc = {
         "model": model_name,
         "horizon": report.gramian.horizon,
-        "observable": report.kalman_observable and report.gramian_observable,
+        "observable": report.observable,
         "kalman_rank": report.kalman_rank,
         "rank_required": report.rank_required,
         "kalman_observable": report.kalman_observable,

@@ -55,9 +55,24 @@ class StateSpaceModel:
         return self.c.shape[0]
 
 
-# Relative tolerance on grid steps and spans: two grids agree when their
-# steps, or a trace's span and a horizon, differ by at most this much.
+# Relative part of :func:`times_agree`, the one rule for comparing times.
 GRID_RTOL = 1e-9
+
+
+def times_agree(a, b, length, *times):
+    """Whether ``a`` and ``b``, two lengths or two instants of time on a
+    sampled grid, agree: they may differ by ``GRID_RTOL`` of ``length``
+    plus eight units in the last place (``np.spacing``) of the largest |t|
+    among ``times``.  The ulps cover the rounding that the times
+    t0 + k dt, as computed and written, leave in a step or a span taken
+    from them, which exceeds ``GRID_RTOL`` of it when |t| >> dt.
+    Elementwise on arrays.
+
+    One rule serves every time comparison: ``fileio.load_trace``'s uniform
+    step, the shared grid of an input and an output trace, and a trace's
+    span against a requested horizon.
+    """
+    return np.abs(np.subtract(a, b)) <= GRID_RTOL * length + 8 * np.spacing(np.max(np.abs(times)))
 
 
 @dataclass(frozen=True)
@@ -222,10 +237,7 @@ def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     n, p = a.shape[0], b.shape[1]
-    aug = np.zeros((n + p, n + p))
-    aug[:n, :n] = a
-    aug[:n, n:] = b
-    big = expm(aug, dt)
+    big = expm(np.block([[a, b], [np.zeros((p, n + p))]]), dt)
     return big[:n, :n], big[:n, n:]
 
 

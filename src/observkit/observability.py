@@ -42,7 +42,7 @@ from observkit.linalg import (
     rank,
     solve,
 )
-from observkit.lti import GRID_RTOL, StateSpaceModel, Trace, propagate, simulate_forced
+from observkit.lti import StateSpaceModel, Trace, propagate, simulate_forced, times_agree
 
 __all__ = [
     "GramianResult",
@@ -99,6 +99,11 @@ class ObservabilityReport:
     consistent: bool
     gramian: GramianResult
     gramian_ode: GramianResult
+
+    @property
+    def observable(self) -> bool:
+        """The overall verdict: both the rank and the Gramian route say observable."""
+        return self.kalman_observable and self.gramian_observable
 
 
 def observability_matrix(m: StateSpaceModel) -> np.ndarray:
@@ -301,7 +306,8 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
         raise ValueError(
             f"input and output traces must share a grid: {u.samples.shape[0]} vs "
             f"{y.samples.shape[0]} samples")
-    if abs(u.dt - y.dt) > GRID_RTOL * max(u.dt, y.dt) or u.t0 != y.t0:
+    if not times_agree([u.t0, u.duration], [y.t0, y.duration], y.duration,
+                       u.t0, y.t0, u.t0 + u.duration, y.t0 + y.duration).all():
         raise ValueError("input and output traces must share a grid (t0 and dt)")
     _, y_forced = simulate_forced(m, np.zeros(m.n), u)
     return y.samples - y_forced.samples
@@ -342,7 +348,7 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
         y: output trace, width q, at least two samples.
         u: input trace on the same grid, if the response was forced.
         horizon: expected window length; checked against the trace's
-            span when given (relative tolerance ``lti.GRID_RTOL``).
+            span when given, by :func:`~observkit.lti.times_agree`.
 
     Returns:
         The initial state, exact to rounding for noiseless traces of an
@@ -363,7 +369,7 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
-        if abs(span - horizon) > GRID_RTOL * max(abs(span), horizon):
+        if not times_agree(span, horizon, max(span, horizon), y.t0, y.t0 + span):
             raise ValueError(
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -254,28 +255,42 @@ def test_reconstruct_zero_trace(tmp_path, capsys):
 def test_reconstruct_horizon_mismatch(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     prefix = str(tmp_path / "sim")
-    main(["simulate", "--model", model_path, "--x0", "1,0",
-          "--dt", "0.01", "--steps", "100", "--out", prefix])
-    capsys.readouterr()
-    rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv",
-               "--horizon", "2"])
-    _, err = capsys.readouterr()
-    assert rc == 1
-    assert "horizon" in err
+    # the epoch trace spans 1.234 up to the rounding of its written times,
+    # which the grid tolerance allows for; 1.235 is a whole step more
+    for t0, dt, steps, horizon in [("0", "0.01", "100", "2"),
+                                   ("1700000000.123", "1e-3", "1234", "1.235")]:
+        main(["simulate", "--model", model_path, "--x0", "1,0", "--t0", t0,
+              "--dt", dt, "--steps", steps, "--out", prefix])
+        capsys.readouterr()
+        rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv",
+                   "--horizon", horizon])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert re.fullmatch(rf"error: trace spans \S+ but horizon {re.escape(horizon)} was "
+                            r"requested\n", err), err
 
 
-@pytest.mark.parametrize("t0, dt", [("100", "1e-5"), ("1e6", "1e-3")])
-def test_reconstruct_on_offset_grid(tmp_path, capsys, t0, dt):
+# x0 is only as good as the file's time resolution: the written times are
+# t0 + k dt rounded to the spacing of floats at t0, so the mean step the
+# trace loads with is off by up to that spacing over the span; x0 comes back
+# 2e-8 off at t0 = 1.7e9 over 1.234 s and 9.4e-9 off at t0 = 1e6 over 2 steps
+@pytest.mark.parametrize("t0, dt, steps, x0_tol", [
+    pytest.param("100", "1e-5", 1000, 1e-12, id="100-1e-5"),
+    pytest.param("1e6", "1e-3", 1000, 1e-12, id="1e6-1e-3"),
+    pytest.param("1700000000.123", "1e-3", 1234, 1e-6, id="1700000000.123-1e-3-1234"),
+    pytest.param("1e6", "1e-3", 2, 1e-6, id="1e6-1e-3-2"),
+])
+def test_reconstruct_on_offset_grid(tmp_path, capsys, t0, dt, steps, x0_tol):
     model_path = cardio_model_file(tmp_path, stiffness=2.0)
     prefix = str(tmp_path / "sim")
     assert main(["simulate", "--model", model_path, "--x0", "1,-0.5", "--t0", t0,
-                 "--dt", dt, "--steps", "1000", "--out", prefix]) == 0
+                 "--dt", dt, "--steps", str(steps), "--out", prefix]) == 0
     capsys.readouterr()
     rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv",
-               "--horizon", f"{1000 * float(dt):g}"])
+               "--horizon", f"{steps * float(dt):g}"])
     out, err = capsys.readouterr()
     assert rc == 0, err
-    assert np.linalg.norm(np.array(json.loads(out)["x0"]) - [1.0, -0.5]) <= 1e-12
+    assert np.linalg.norm(np.array(json.loads(out)["x0"]) - [1.0, -0.5]) <= x0_tol
 
 
 def _numeric_failure(argv, capsys):

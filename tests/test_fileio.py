@@ -17,7 +17,7 @@ from observkit.fileio import (
     save_trace,
 )
 from observkit.lti import GRID_RTOL, Trace, make_model
-from observkit.observability import analyze
+from observkit.observability import analyze, reconstruct_with_gramian
 
 
 def table_model():
@@ -178,6 +178,12 @@ def test_every_trace_that_constructs_loads_again(tmp_path_factory, grid, count, 
     # (t0 = 1, dt = 1.5 spacings gives the times 1 and 1 + 2 spacings)
     ulp = np.spacing(np.abs(trace.times[[0, -1]]).max())
     assert abs(back.dt - trace.dt) <= GRID_RTOL * trace.dt + 4 * ulp / (count - 1)
+    # and its span still matches the horizon the trace was made with
+    model = make_model(np.zeros((width, width)), np.zeros((width, 1)), np.eye(width))
+    try:
+        reconstruct_with_gramian(model, back, horizon=(count - 1) * trace.dt)
+    except ValueError as exc:  # the sums of arbitrary samples may overflow
+        assert "trace spans" not in str(exc)
 
 
 def test_save_trace_refuses_a_single_sample(tmp_path):
