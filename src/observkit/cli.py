@@ -88,12 +88,17 @@ def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     human verdict to stderr; return the exit code."""
     report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
     _emit_doc(dump_report(report, model.name), out_path)
+    horizon = report.gramian.horizon
+    if report.gramian_ode is None:
+        _status(_style(
+            f"warning: the lyapunov-ode cross-check overflowed over [0, {horizon:g}] "
+            "and was skipped; the verdict rests on the rank test and the doubling Gramian",
+            "yellow"))
     if not report.consistent:
         _status(_style(
             "warning: Kalman rank and Gramian verdicts disagree; "
             "re-run with tighter tolerances or a longer horizon", "yellow"))
     label = model.name or "model"
-    horizon = report.gramian.horizon
     if report.observable:
         _status(_style(
             f"{label}: completely observable over [0, {horizon:g}] "

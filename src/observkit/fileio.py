@@ -142,11 +142,133 @@ def save_trace(trace: Trace, path: str) -> None:
         raise ValueError(f"{path}: a trace needs at least two samples for load_trace to "
                          f"infer its time step, got {trace.samples.shape[0]}; nothing written")
     header = "t," + ",".join(f"v{i + 1}" for i in range(trace.width))
-    table = np.column_stack([trace.times, trace.samples])
-    # one %-format over the whole table; "%.17g" prints what _emit prints
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        _write_rows(fh, np.column_stack([trace.times, trace.samples]))
+
+
+_CHUNK_VALUES = 1 << 13  # fields rendered at a time: bounds the work arrays
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+
+
+def _split(a):
+    """``a`` as hi + lo, exactly, each half with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _write_rows(fh, table: np.ndarray) -> None:
+    """Write each row of a float64 table as its fields in ``"%.17g"``,
+    joined by "," and ended by "\\n": the bytes the ``%`` operator gives.
+
+    A field x with 1e-6 < |x| < 1e17 is rendered here.  With E the decimal
+    exponent of x, 10**(16 - E) is an exact double (16 - E <= 22), so
+    Dekker's product (Numer. Math. 18, 1971) gives x * 10**(16 - E)
+    exactly as p + err.  p >= 1e16 is an even integer, so p + rint(err) is
+    the half-even rounding of that product: the 17 significant digits
+    "%.17g" prints.  They are then laid out as "%g" does for exponent E:
+    trailing zeros dropped, fixed notation for -4 <= E < 17, "d.ddde-05"
+    below.  0 and -0 print as "0" and "-0"; any other field, subnormal,
+    tiny or huge, goes through ``"%.17g" % x`` itself.
+
+    Each field is built in a 56-byte cell of NUL-padded pieces, and a chunk
+    of cells is written with its NULs dropped.  Cell words (uint32):
+    0-1 the sign and "0.000"; 2-6 "000" and the 17 digits, keeping the
+    digits before the point; 7-11 the same, keeping those after it, with
+    the point in the first byte; 12 the exponent; 13 the separator.
+    """
+    rows, cols = table.shape
+    pow10 = np.array([float(10 ** k) for k in range(23)])  # exact
+    pow_hi, pow_lo = _split(pow10)
+
+    def digits(a, e):
+        """round-half-even(a * 10**(16 - e)), and whether a * 10**(16 - e) < 1e16."""
+        k = 16 - e
+        p = a * pow10[k]
+        a_hi, a_lo = _split(a)
+        err = ((a_hi * pow_hi[k] - p) + a_hi * pow_lo[k] + a_lo * pow_hi[k]) + a_lo * pow_lo[k]
+        return (p.astype(np.int64) + np.rint(err).astype(np.int64),
+                (p < 1e16) | ((p == 1e16) & (err < 0)))
+
+    r = np.arange(10000)
+    quad = np.stack([r // 1000, r // 100 % 10, r // 10 % 10, r % 10], axis=1)
+    quads = (quad + 48).astype(np.uint8).view(np.uint32).ravel()  # "0000" .. "9999"
+    # digits of r up to its last nonzero one; never the largest for r = 0
+    last = np.where(r == 0, -99, 4 - np.argmax(quad[:, ::-1] != 0, axis=1))
+    # keep[w, i, j]: the mask of word w of "000" + 17 digits that keeps digits i..j-1
+    at = np.arange(20) - 3
+    bounds = np.arange(18)
+    keep = ((at >= bounds[:, None, None]) & (at < bounds[None, :, None])).astype(np.uint8) * 255
+    keep = np.ascontiguousarray(keep.view(np.uint32).transpose(2, 0, 1))
+    exps = range(-6, 17)  # the tables below are indexed by exponent + 6
+    lead = np.frombuffer(b"".join((sign + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""))
+                                  .ljust(8, b"\0") for sign in (b"", b"-") for x in exps), np.uint64)
+    before = np.array([x + 1 if x >= 0 else 0 if x >= -4 else 1 for x in exps])
+    pointed = np.array([not -4 <= x < 0 for x in exps])
+    tail = np.frombuffer(b"".join((b"e%+03d" % x if x < -4 else b"").ljust(4, b"\0")
+                                  for x in exps), np.uint32)
+    sep = np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint8)
+
+    def render(v):
+        """The cells of fields v, each 0 or of 1e-6 < |v| < 1e17."""
+        a = np.abs(v)
+        zero = a == 0
+        a[zero] = 1.0
+        with np.errstate(all="raise"):  # no lane can over- or underflow
+            # log10 may land one off next to a power of ten: the exact
+            # product says which way, and one step mends it.  No double of
+            # the range lies within 5e-18 below a power of ten, so no
+            # product rounds up to 1e17 once E is right.
+            e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+            d, low = digits(a, e)
+            off = np.flatnonzero(low | (d >= 10 ** 17))
+            if off.size:
+                e[off] += np.where(low[off], -1, 1)
+                d[off] = digits(a[off], e[off])[0]
+        d[zero] = 0
+        e[zero] = 0
+        ix = e + 6
+        cells = np.zeros((v.size, 14), np.uint32)
+        cells.view(np.uint64)[:, 0] = lead[np.signbit(v) * len(exps) + ix]
+        # d in 4-digit groups, last first; nd: digits up to the last nonzero one
+        groups = []
+        nd = np.ones(v.size, np.intp)
+        for w in (4, 3, 2, 1):
+            q = d // 10000
+            groups.append(d - q * 10000)
+            nd = np.maximum(nd, last[groups[-1]] + 4 * w - 3)
+            d = q
+        groups.append(d)
+        b = before[ix]
+        end = np.maximum(nd, b)
+        pair = b * len(bounds) + end
+        for w, g in zip((4, 3, 2, 1, 0), groups):
+            word = quads[g]
+            np.bitwise_and(word, keep[w, 0][b], out=cells[:, 2 + w])
+            np.bitwise_and(word, keep[w].ravel()[pair], out=cells[:, 7 + w])
+        cells[:, 12] = tail[ix]
+        cells.view(np.uint8)[:, 28] = np.where(pointed[ix] & (end > b), ord("."), 0)  # word 7
+        return cells
+
+    step = max(1, _CHUNK_VALUES // cols)
+    for r0 in range(0, rows, step):
+        v = table[r0:r0 + step].ravel()
+        a = np.abs(v)
+        here = ((a > 1e-6) & (a < 1e17)) | (a == 0)  # > 1e-6: the double 1e-6 is below 10**-6
+        if here.all():
+            cells = render(v)
+        else:
+            cells = np.zeros((v.size, 14), np.uint32)
+            cells[here] = render(v[here])
+            rest = v[~here].tolist()
+            fields = (("%-24.17g" * len(rest)) % tuple(rest)).encode("ascii")  # 24: the widest
+            fields = np.frombuffer(fields, np.uint8).reshape(-1, 24)
+            cells.view(np.uint8)[~here, :24] = np.where(fields == ord(" "), 0, fields)
+        text = cells.view(np.uint8)
+        text.reshape(-1, cols, 56)[:, :, 52] = sep  # word 13
+        text = text.ravel()
+        fh.write(text[text != 0])
 
 
 def load_trace(path: str) -> Trace:
@@ -232,12 +354,14 @@ def _gramian_doc(g: GramianResult) -> dict:
 
 
 def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
-    """Serialize an observability certificate, fixed key order."""
-    quad = report.gramian.gramian
-    ode = report.gramian_ode.gramian
-    denom = float(np.linalg.norm(quad, "fro"))
-    diff = float(np.linalg.norm(quad - ode, "fro"))
-    discrepancy = diff / denom if denom else diff
+    """Serialize an observability certificate, fixed key order.  A skipped
+    RK4 cross-check writes null for it and for the route discrepancy."""
+    ode, discrepancy = report.gramian_ode, None
+    if ode is not None:
+        quad = report.gramian.gramian
+        denom = float(np.linalg.norm(quad, "fro"))
+        diff = float(np.linalg.norm(quad - ode.gramian, "fro"))
+        discrepancy = diff / denom if denom else diff
     doc = {
         "model": model_name,
         "horizon": report.gramian.horizon,
@@ -248,7 +372,7 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
         "gramian_observable": report.gramian_observable,
         "consistent": report.consistent,
         "gramian": _gramian_doc(report.gramian),
-        "gramian_ode": _gramian_doc(report.gramian_ode),
+        "gramian_ode": None if ode is None else _gramian_doc(ode),
         "gramian_route_discrepancy": discrepancy,
     }
     return _emit(doc) + "\n"

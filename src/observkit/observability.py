@@ -87,7 +87,8 @@ class ObservabilityReport:
     returns; the observability matrix itself is not kept, since no verdict
     reads it (call :func:`observability_matrix` to see it).  ``gramian``
     holds the doubling result (the verdict-bearing route); ``gramian_ode``
-    holds the independent Lyapunov-ODE cross-check.  ``consistent`` is
+    holds the independent Lyapunov-ODE cross-check, or None when its RK4
+    integration overflowed, which no verdict depends on.  ``consistent`` is
     false when the rank and Gramian verdicts disagree, which signals a
     tolerance problem rather than a property of the model.
     """
@@ -98,7 +99,7 @@ class ObservabilityReport:
     gramian_observable: bool
     consistent: bool
     gramian: GramianResult
-    gramian_ode: GramianResult
+    gramian_ode: GramianResult | None
 
     @property
     def observable(self) -> bool:
@@ -392,11 +393,16 @@ def analyze(m: StateSpaceModel, horizon: float,
     The rank verdict comes from :func:`rank_test` at ``rank_tol``.  The
     Gramian verdict carried in ``gramian_observable`` comes from
     :func:`gramian_doubling`, which has no discretisation to tune; the
-    :func:`gramian_ode` result rides along for cross-checking.
+    :func:`gramian_ode` result rides along for cross-checking, or is None
+    when its RK4 steps overflow, since neither verdict rests on it.
     ``consistent`` compares the rank verdict with the Gramian verdict.
     """
     r, kalman_observable = rank_test(m, rank_tol)
     gram = gramian_doubling(m, horizon, pd_tol)
+    try:
+        ode = gramian_ode(m, horizon, pd_tol=pd_tol)
+    except NonFiniteError:
+        ode = None
     return ObservabilityReport(
         kalman_rank=r,
         rank_required=m.n,
@@ -404,5 +410,5 @@ def analyze(m: StateSpaceModel, horizon: float,
         gramian_observable=gram.positive_definite,
         consistent=kalman_observable == gram.positive_definite,
         gramian=gram,
-        gramian_ode=gramian_ode(m, horizon, pd_tol=pd_tol),
+        gramian_ode=ode,
     )

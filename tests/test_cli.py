@@ -318,10 +318,24 @@ def test_cardio_non_finite_parameter_is_an_error(capsys, flag, value, message):
     assert err == f"error: {message}\n"
 
 
-def test_cardio_unstable_ode_route_is_an_error(capsys):
-    err = _numeric_failure(["cardio", "--mass", "0.5", "--damping", "0.5",
-                            "--stiffness", "100", "--horizon", "200"], capsys)
-    assert err.startswith("error: lyapunov-ode")
+@pytest.mark.parametrize("argv", [
+    ["--mass", "0.5", "--damping", "0.5", "--stiffness", "100", "--horizon", "200"],
+    ["--mass", "1", "--stiffness", "1", "--horizon", "1e6"],  # the paper's table
+], ids=["stiff-T200", "paper-T1e6"])
+def test_cardio_unstable_ode_route_is_skipped_with_a_warning(capsys, argv):
+    # the RK4 cross-check overflows; the doubling Gramian is finite and decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["cardio", *argv])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out)
+    assert list(doc)[-2:] == ["gramian_ode", "gramian_route_discrepancy"]
+    assert doc["gramian_ode"] is None and doc["gramian_route_discrepancy"] is None
+    assert doc["observable"] is True and doc["gramian"]["positive_definite"] is True
+    warning, verdict = err.splitlines()
+    assert warning.startswith("warning: the lyapunov-ode cross-check overflowed over [0, ")
+    assert "completely observable" in verdict
 
 
 @pytest.mark.parametrize("stiffness,flag", [

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from observkit.fileio import (
+    _CHUNK_VALUES,
     ParseError,
     dump_model,
     dump_report,
@@ -123,20 +125,83 @@ def test_load_trace_accepts_spaced_fields(tmp_path):
     np.testing.assert_array_equal(back.samples, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def _assert_written_per_field(trace, path):
+    """save_trace writes exactly what format(x, ".17g") prints field by field."""
+    save_trace(trace, str(path))
+    header = ",".join(["t"] + [f"v{i + 1}" for i in range(trace.width)])
+    want = [header] + [",".join(format(float(x), ".17g") for x in (t, *row))
+                       for t, row in zip(trace.times, trace.samples)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def _power_of_ten_neighbours():
+    """The 9 doubles around each 10**k, k = -8..18, and their negatives."""
+    out = []
+    for k in range(-8, 19):
+        x = float(f"1e{k}")
+        for _ in range(4):
+            x = np.nextafter(x, 0.0)
+        for _ in range(9):
+            out += [x, -x]
+            x = np.nextafter(x, np.inf)
+    return out
+
+
+def _seventeen_digit_ties():
+    """Doubles k / 2**j whose exact decimal has 18 significant digits, the
+    last a 5: half-way between two 17-digit numbers."""
+    rng = np.random.default_rng(17)
+    out = []
+    for e in range(-7, 15):  # x in [10**e, 10**(e + 1)) takes j = 17 - e fraction digits
+        j = 17 - e
+        lo, hi = math.ceil(Fraction(10) ** e * 2 ** j), int(Fraction(10) ** (e + 1) * 2 ** j)
+        for _ in range(6):
+            k = int(rng.integers(lo, hi)) | 1
+            x = math.ldexp(k, -j)
+            assert Fraction(x) == Fraction(k, 2 ** j)
+            scaled = Fraction(x) * Fraction(10) ** (17 - e)  # 18 digits before the point
+            assert scaled.denominator == 1 and 10 ** 17 <= scaled < 10 ** 18
+            assert scaled.numerator % 10 == 5
+            out += [x, -x]
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trace_writer_matches_per_field_formatting(tmp_path):
-    # the writer formats the whole table at once; it must print exactly
+    # the writer renders the table with numpy; it must print exactly
     # what format(x, ".17g") prints field by field
     rng = np.random.default_rng(63)
     awkward = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.0]
     values = np.concatenate([awkward, rng.standard_normal(500),
-                             rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
-    trace = Trace(-0.25, 0.1, values.reshape(-1, 2))
-    path = tmp_path / "trace.csv"
-    save_trace(trace, str(path))
-    want = ["t,v1,v2"] + [",".join(format(float(x), ".17g") for x in (t, *row))
-                          for t, row in zip(trace.times, trace.samples)]
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+                             rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+                             _power_of_ten_neighbours(), _seventeen_digit_ties()])
+    _assert_written_per_field(Trace(-0.25, 0.1, values.reshape(-1, 2)), tmp_path / "trace.csv")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_writer_matches_across_chunks(tmp_path):
+    # fields left to the % operator, and -0.0, mid-chunk and on both sides
+    # of each chunk boundary
+    width = 2
+    step = _CHUNK_VALUES // (width + 1)  # rows per chunk
+    samples = np.random.default_rng(5).standard_normal((3 * step + 7, width))
+    special = [1e-7, 1e17, 5e-324, -0.0]
+    for row in (step // 2, step - 1, step, 2 * step - 1, 2 * step):
+        samples[row] = special[row % 4], special[(row + 1) % 4]
+    _assert_written_per_field(Trace(0.0, 1e-3, samples), tmp_path / "long.csv")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(2, 12), width=st.integers(1, 4), data=st.data())
+def test_trace_writer_matches_any_finite_floats(tmp_path_factory, count, width, data):
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+                                min_size=count * width, max_size=count * width))
+    t0 = data.draw(st.floats(-1e6, 1e6))
+    _assert_written_per_field(Trace(t0, 0.125, np.reshape(values, (count, width))),
+                              tmp_path_factory.mktemp("writer") / "trace.csv")
 
 
 def test_save_trace_refuses_a_grid_load_trace_would_reject(tmp_path):

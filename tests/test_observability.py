@@ -243,8 +243,18 @@ def test_gramian_ode_instability_names_the_stage():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"lyapunov-ode: .*\[0, 200\] with 1000 RK4"):
             gramian_ode(m, 200.0)
-        with pytest.raises(NonFiniteError, match="lyapunov-ode"):
-            analyze(m, 200.0)
+
+
+def test_analyze_skips_an_overflowing_ode_cross_check():
+    # the same RK4 overflow leaves the certificate to the rank test and
+    # the doubling Gramian, which is the finite diag(100, 0.5)
+    m = table_model(mass=0.5, damping=0.5, stiffness=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(m, 200.0)
+    assert report.gramian_ode is None
+    assert report.observable and report.consistent
+    np.testing.assert_allclose(report.gramian.gramian, np.diag([100.0, 0.5]), atol=1e-12)
 
 
 def four_stage_rk4_gramian(m, horizon, steps):
