@@ -88,12 +88,13 @@ def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     human verdict to stderr; return the exit code."""
     report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
     _emit_doc(dump_report(report, model.name), out_path)
-    horizon = report.gramian.horizon
-    if report.gramian_ode is None:
-        _status(_style(
-            f"warning: the lyapunov-ode cross-check overflowed over [0, {horizon:g}] "
-            "and was skipped; the verdict rests on the rank test and the doubling Gramian",
-            "yellow"))
+    ode, horizon = report.gramian_ode, report.gramian.horizon
+    if ode is None or ode.positive_definite != report.gramian_observable:
+        what = (f"overflowed over [0, {horizon:g}] and was skipped" if ode is None else
+                f"disagrees with the doubling Gramian on definiteness over [0, {horizon:g}] "
+                f"(route discrepancy {report.route_discrepancy:.3e})")
+        _status(_style(f"warning: the lyapunov-ode cross-check {what}; "
+                       "the verdict rests on the rank test and the doubling Gramian", "yellow"))
     if not report.consistent:
         _status(_style(
             "warning: Kalman rank and Gramian verdicts disagree; "
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SingularGramianError as exc:
-        print(_style("system unobservable at this horizon", "red"), file=sys.stderr)
+        print(_style("system unobservable from these samples", "red"), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:  # usage, parse and numeric errors

@@ -1,5 +1,9 @@
 """File formats: JSON model/report documents and CSV trace files.
 
+This module serializes and parses; it computes nothing it writes.  A
+report document holds the fields of the ``ObservabilityReport`` it is
+given, route discrepancy included, as ``observability.analyze`` set them.
+
 Every float is serialized with 17 significant digits so values round
 trip exactly, and documents are emitted with a fixed key order so
 identical inputs produce byte-identical files.
@@ -356,12 +360,6 @@ def _gramian_doc(g: GramianResult) -> dict:
 def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
     """Serialize an observability certificate, fixed key order.  A skipped
     RK4 cross-check writes null for it and for the route discrepancy."""
-    ode, discrepancy = report.gramian_ode, None
-    if ode is not None:
-        quad = report.gramian.gramian
-        denom = float(np.linalg.norm(quad, "fro"))
-        diff = float(np.linalg.norm(quad - ode.gramian, "fro"))
-        discrepancy = diff / denom if denom else diff
     doc = {
         "model": model_name,
         "horizon": report.gramian.horizon,
@@ -372,8 +370,8 @@ def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
         "gramian_observable": report.gramian_observable,
         "consistent": report.consistent,
         "gramian": _gramian_doc(report.gramian),
-        "gramian_ode": None if ode is None else _gramian_doc(ode),
-        "gramian_route_discrepancy": discrepancy,
+        "gramian_ode": None if report.gramian_ode is None else _gramian_doc(report.gramian_ode),
+        "gramian_route_discrepancy": report.route_discrepancy,
     }
     return _emit(doc) + "\n"
 

@@ -246,16 +246,15 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
 
     The input is held constant on each [t_k, t_{k+1}), which admits the
     exact per-step update x_{k+1} = A_d x_k + B_d u_k, run by
-    :func:`propagate`.  The returned traces share the input's grid.  An
-    identically zero input reduces to :func:`simulate_free`.
+    :func:`propagate`.  A_d is ``expm(A, dt)``, the Phi(dt) of
+    :func:`simulate_free`, and only B_d comes from :func:`zoh_discretize`,
+    so an identically zero input gives :func:`simulate_free`'s samples bit
+    for bit.  The returned traces share the input's grid.
     """
     x0 = _check_x0(m, x0)
     if u.width != m.p:
         raise ShapeMismatchError(f"input trace must have width {m.p}, got {u.width}")
-    steps = u.samples.shape[0] - 1
-    if not np.any(u.samples):
-        return simulate_free(m, x0, u.t0, u.dt, steps)
-    ad, bd = zoh_discretize(m.a, m.b, u.dt)
+    bd = zoh_discretize(m.a, m.b, u.dt)[1]
     v = np.vstack([x0, u.samples[:-1] @ bd.T])
-    xs = propagate(ad, v, "simulate")
+    xs = propagate(expm(m.a, u.dt), v, "simulate")
     return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, xs @ m.c.T)

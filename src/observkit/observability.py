@@ -25,6 +25,7 @@ response first, which leaves the free output of x0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,10 @@ __all__ = [
 ]
 
 class SingularGramianError(SingularMatrixError):
-    """The observability Gramian is numerically singular, so the initial
-    state is not recoverable at this horizon (the model is not
-    completely observable)."""
+    """The sampled observability Gramian of a trace's grid is numerically
+    singular, so the initial state is not recoverable from those samples.
+    The model may be unobservable, or only the sampling period pathological
+    (two eigenvalues of A a multiple of 2 pi i / dt apart)."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,10 @@ class ObservabilityReport:
     returns; the observability matrix itself is not kept, since no verdict
     reads it (call :func:`observability_matrix` to see it).  ``gramian``
     holds the doubling result (the verdict-bearing route); ``gramian_ode``
-    holds the independent Lyapunov-ODE cross-check, or None when its RK4
-    integration overflowed, which no verdict depends on.  ``consistent`` is
+    holds the independent Lyapunov-ODE cross-check, which no verdict depends
+    on, and ``route_discrepancy`` its distance from ``gramian``, relative
+    to ||gramian||_F (absolute when ``gramian`` is zero).  Both are None
+    when the RK4 integration or that distance overflowed.  ``consistent`` is
     false when the rank and Gramian verdicts disagree, which signals a
     tolerance problem rather than a property of the model.
     """
@@ -100,6 +104,7 @@ class ObservabilityReport:
     consistent: bool
     gramian: GramianResult
     gramian_ode: GramianResult | None
+    route_discrepancy: float | None
 
     @property
     def observable(self) -> bool:
@@ -356,8 +361,8 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
         observable model.
 
     Raises:
-        SingularGramianError: the Gramian is not invertible at this
-            horizon, i.e. the model is not completely observable.
+        SingularGramianError: the sampled Gramian on the trace's grid is
+            not invertible, so these samples do not determine x0.
         ValueError: trace/horizon mismatch or a degenerate trace.
     """
     return reconstruct_with_gramian(m, y, u, horizon)[0]
@@ -378,11 +383,29 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
         return solve(gram, moment), gram
     except SingularMatrixError as exc:
         raise SingularGramianError(
-            f"observability Gramian is singular over [0, {y.duration:.6g}]: "
-            f"the model is not completely observable at this horizon "
-            f"(condition estimate {exc.condition:.3e})",
+            f"the sampled Gramian on this trace's grid (dt = {y.dt:.6g} over "
+            f"[0, {y.duration:.6g}]) is singular: x0 is not recoverable from these "
+            f"samples (condition estimate {exc.condition:.3e})",
             condition=exc.condition,
             min_singular_value=exc.min_singular_value) from None
+
+
+def _route_discrepancy(ref: np.ndarray, other: np.ndarray) -> float:
+    """||ref - other||_F / ||ref||_F, or ||ref - other||_F when ref = 0.
+
+    Each norm is taken of its matrix times 2^-e, e from ``math.frexp`` of its
+    largest |entry| (for the difference, of both matrices, scaled before
+    subtracting), and the quotient is scaled back.  Powers of two scale
+    exactly, so no square in the norms overflows, and every result that is
+    finite unscaled keeps its bits (Blue, ACM TOMS 1978).
+
+    Raises:
+        OverflowError: the result exceeds the float range.
+    """
+    e, e_ref = (math.frexp(np.abs(x).max())[1] for x in ((ref, other), ref))
+    num = np.linalg.norm(np.ldexp(ref, -e) - np.ldexp(other, -e))
+    den = np.linalg.norm(np.ldexp(ref, -e_ref))
+    return math.ldexp(num / den if den else num, e - e_ref)  # ref = 0: e_ref = 0
 
 
 def analyze(m: StateSpaceModel, horizon: float,
@@ -393,16 +416,18 @@ def analyze(m: StateSpaceModel, horizon: float,
     The rank verdict comes from :func:`rank_test` at ``rank_tol``.  The
     Gramian verdict carried in ``gramian_observable`` comes from
     :func:`gramian_doubling`, which has no discretisation to tune; the
-    :func:`gramian_ode` result rides along for cross-checking, or is None
-    when its RK4 steps overflow, since neither verdict rests on it.
+    :func:`gramian_ode` result rides along for cross-checking, with its
+    route discrepancy from the doubling Gramian.  Both are None when the RK4
+    steps or that discrepancy overflow, since neither verdict rests on them.
     ``consistent`` compares the rank verdict with the Gramian verdict.
     """
     r, kalman_observable = rank_test(m, rank_tol)
     gram = gramian_doubling(m, horizon, pd_tol)
     try:
         ode = gramian_ode(m, horizon, pd_tol=pd_tol)
-    except NonFiniteError:
-        ode = None
+        discrepancy = _route_discrepancy(gram.gramian, ode.gramian)
+    except (NonFiniteError, OverflowError):
+        ode = discrepancy = None
     return ObservabilityReport(
         kalman_rank=r,
         rank_required=m.n,
@@ -411,4 +436,5 @@ def analyze(m: StateSpaceModel, horizon: float,
         consistent=kalman_observable == gram.positive_definite,
         gramian=gram,
         gramian_ode=ode,
+        route_discrepancy=discrepancy,
     )

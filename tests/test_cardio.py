@@ -79,6 +79,11 @@ def test_certificate_grid_nonzero_stiffness():
                 assert report.kalman_rank == 2
                 assert report.gramian.positive_definite
                 assert report.consistent
+                # the scaled discrepancy keeps every bit of the unscaled formula
+                quad, ode = report.gramian.gramian, report.gramian_ode.gramian
+                denom = float(np.linalg.norm(quad, "fro"))
+                diff = float(np.linalg.norm(quad - ode, "fro"))
+                assert report.route_discrepancy == diff / denom
 
 
 def test_stiff_table_long_window_certificate_is_exact():

@@ -242,6 +242,26 @@ def test_reconstruct_unobservable_exit_code(tmp_path, capsys):
     assert "unobservable" in err
 
 
+def test_reconstruct_pathological_sampling_period(tmp_path, capsys):
+    # dt = pi is half the period of the undamped table: Phi(dt) = -I, so the
+    # samples cannot separate the states, though the model is observable
+    model_path = str(tmp_path / "undamped.json")
+    prefix = str(tmp_path / "pi")
+    assert main(["cardio", "--mass", "1", "--stiffness", "1", "--out", model_path]) == 0
+    assert main(["simulate", "--model", model_path, "--x0", "1,-0.5",
+                 "--dt", "3.141592653589793", "--steps", "10", "--out", prefix]) == 0
+    capsys.readouterr()
+    rc = main(["reconstruct", "--model", model_path, prefix + "_y.csv"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    red, error = err.splitlines()
+    assert red == "system unobservable from these samples"
+    assert error.startswith("error: the sampled Gramian on this trace's grid "
+                            "(dt = 3.14159 over [0, 31.4159]) is singular: x0 is not "
+                            "recoverable from these samples (condition estimate ")
+    assert analyze(load_model(model_path), 10 * np.pi).observable
+
+
 def test_reconstruct_zero_trace(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     y_path = tmp_path / "zero_y.csv"
@@ -335,6 +355,28 @@ def test_cardio_unstable_ode_route_is_skipped_with_a_warning(capsys, argv):
     assert doc["observable"] is True and doc["gramian"]["positive_definite"] is True
     warning, verdict = err.splitlines()
     assert warning.startswith("warning: the lyapunov-ode cross-check overflowed over [0, ")
+    assert "completely observable" in verdict
+
+
+@pytest.mark.parametrize("horizon", ["103", "110"])
+def test_cardio_contradicting_ode_route_warns(capsys, horizon):
+    # RK4 stays finite but is unstable here: its "Gramian" is indefinite
+    # while the doubling Gramian is diag(100, 0.5), which decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["cardio", "--mass", "0.5", "--damping", "0.5", "--stiffness", "100",
+                   "--horizon", horizon])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["gramian_ode"]["positive_definite"] is False
+    assert doc["observable"] is True and doc["consistent"] is True
+    warning, verdict = err.splitlines()
+    assert warning == (
+        "warning: the lyapunov-ode cross-check disagrees with the doubling Gramian on "
+        f"definiteness over [0, {horizon}] (route discrepancy "
+        f"{doc['gramian_route_discrepancy']:.3e}); the verdict rests on the rank test and "
+        "the doubling Gramian")
     assert "completely observable" in verdict
 
 

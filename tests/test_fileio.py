@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from observkit.fileio import (
     save_model,
     save_trace,
 )
+from observkit.linalg import NonFiniteError
 from observkit.lti import GRID_RTOL, Trace, make_model
 from observkit.observability import analyze, reconstruct_with_gramian
 
@@ -352,6 +354,63 @@ def test_report_document_shape():
     assert doc["gramian_ode"]["method"] == "lyapunov-ode"
     assert len(doc["gramian"]["matrix"]) == 2
     assert doc["gramian_route_discrepancy"] <= 1e-6
+
+
+def hypot_discrepancy(report):
+    """The route discrepancy by ``math.hypot``, which scales its own sum of
+    squares: the reference the report's value must match."""
+    ref = report.gramian.gramian.ravel().tolist()
+    diff = [r - o for r, o in zip(ref, report.gramian_ode.gramian.ravel().tolist())]
+    den = math.hypot(*ref)
+    return math.hypot(*diff) / den if den else math.hypot(*diff)
+
+
+def report_doc(m, horizon):
+    """analyze, dump_report and json.loads, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(m, horizon)
+        doc = json.loads(dump_report(report))
+    assert doc["gramian_route_discrepancy"] == report.route_discrepancy
+    return report, doc
+
+
+@pytest.mark.parametrize("m, horizon", [
+    *[(make_model([[0.5]], [[1.0]], [[1.0]]), t) for t in (356.0, 380.0, 600.0, 709.0)],
+    *[(make_model([[0.0, 1.0], [-200.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]]), t)
+      for t in (107.0, 110.0, 112.0)],
+], ids=["grow-356", "grow-380", "grow-600", "grow-709",
+        "stiff-107", "stiff-110", "stiff-112"])
+def test_report_discrepancy_of_gramians_past_1e154(m, horizon):
+    # the squares of these Gramians' entries overflow; each certificate
+    # serializes, with the discrepancy of the unoverflowed formula
+    report, doc = report_doc(m, horizon)
+    assert doc["observable"] is True
+    assert doc["gramian_route_discrepancy"] == pytest.approx(hypot_discrepancy(report),
+                                                             rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(-3, 2), kc=st.integers(-90, 90),
+       horizon=st.floats(0.01, 50.0))
+def test_every_report_analyze_returns_serializes(data, n, k, kc, horizon):
+    # A scaled by 10^k and C by 10^kc: Gramians from about 1e-180 to past
+    # the float range, where analyze itself raises
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n + n, max_size=n * n + n)
+    values = np.array(data.draw(entries))
+    m = make_model(10.0 ** k * values[:n * n].reshape(n, n), np.ones((n, 1)),
+                   10.0 ** kc * values[n * n:].reshape(1, n))
+    try:
+        report, doc = report_doc(m, horizon)
+    except NonFiniteError:  # the doubling Gramian or a rank block overflows
+        return
+    got = doc["gramian_route_discrepancy"]
+    assert (got is None) is (doc["gramian_ode"] is None)
+    if got is not None:
+        assert math.isfinite(got)
+        want = hypot_discrepancy(report)
+        if math.isfinite(want):  # the reference's own difference may overflow
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_vector_document():
