@@ -24,7 +24,7 @@ from observkit import (
     simulate_forced,
     simulate_free,
 )
-from observkit.observability import reconstruction_normal_equations
+from observkit.observability import reconstruct_with_condition
 
 model = build_cardio_model(CardioParams(mass=1.0, damping=0.5, stiffness=2.0))
 hidden_x0 = np.array([1.0, -0.5])
@@ -52,9 +52,7 @@ print("=== window length vs conditioning ===")
 print(f"{'T (s)':>8} {'condition':>12} {'error':>10}")
 for steps in (50, 100, 500, 1000, 2000):
     _, ys = simulate_free(model, hidden_x0, 0.0, 1e-3, steps)
-    gram, _ = reconstruction_normal_equations(model, ys)
-    cond = np.linalg.cond(gram)
-    got = reconstruct_initial_state(model, ys)
+    got, cond = reconstruct_with_condition(model, ys)
     err = np.linalg.norm(got - hidden_x0)
     print(f"{ys.duration:>8.2f} {cond:>12.3e} {err:>10.2e}")
 print("short windows leave the Gramian ill conditioned; longer observation")

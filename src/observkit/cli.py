@@ -18,11 +18,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from observkit.cardio import CardioParams, build_cardio_model
 from observkit.fileio import (
-    ParseError,
     dump_report,
     dump_vector_doc,
     load_model,
@@ -38,7 +35,7 @@ from observkit.observability import (  # noqa: F401
     SingularGramianError,
     analyze,
     reconstruct_initial_state,
-    reconstruct_with_gramian,
+    reconstruct_with_condition,
     reconstruction_normal_equations,
 )
 
@@ -76,9 +73,9 @@ def _emit_doc(doc_text: str, out_path: str | None) -> None:
         sys.stdout.write(doc_text)
 
 
-def _parse_x0(text: str) -> np.ndarray:
+def _parse_x0(text: str) -> list[float]:
     try:
-        return np.array([float(f) for f in text.split(",")])
+        return [float(f) for f in text.split(",")]
     except ValueError:
         raise _UsageError(f"--x0 must be a comma-separated number list, got {text!r}") from None
 
@@ -116,20 +113,10 @@ def _cmd_analyze(args) -> int:
     return _certify(args, load_model(args.model), args.out)
 
 
-def _load_input_trace(args, model: StateSpaceModel):
-    if args.input is None:
-        return None
-    u = load_trace(args.input)
-    if u.width != model.p:
-        raise ParseError(f"{args.input}: input trace has width {u.width}, "
-                         f"model expects {model.p}")
-    return u
-
-
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     x0 = _parse_x0(args.x0)
-    u = _load_input_trace(args, model)
+    u = None if args.input is None else load_trace(args.input)
     if u is not None:
         if args.dt is not None or args.steps is not None or args.t0 is not None:
             raise _UsageError("--dt/--steps/--t0 conflict with --input; "
@@ -150,9 +137,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     model = load_model(args.model)
     y = load_trace(args.trace)
-    u = _load_input_trace(args, model)
-    x0, gram = reconstruct_with_gramian(model, y, u, horizon=args.horizon)
-    condition = float(np.linalg.cond(gram))
+    u = None if args.input is None else load_trace(args.input)
+    x0, condition = reconstruct_with_condition(model, y, u, horizon=args.horizon)
     _emit_doc(dump_vector_doc("x0", x0, {"horizon": y.duration, "gramian_condition": condition}),
               args.out)
     _status(_style(
@@ -170,7 +156,9 @@ def _cmd_cardio(args) -> int:
     return _certify(args, model, None)
 
 
-def _add_tolerance_flags(sub) -> None:
+def _add_certificate_flags(sub) -> None:
+    sub.add_argument("--horizon", type=float, default=1.0,
+                     help="Gramian window length T (default 1)")
     sub.add_argument("--rank-tol", type=float, default=None,
                      help="relative rank tolerance (default: eps * max dimension)")
     sub.add_argument("--pd-tol", type=float, default=DEFAULT_PD_TOL,
@@ -185,10 +173,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="certify observability of a model file")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--horizon", type=float, default=1.0,
-                   help="Gramian window length T (default 1)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_tolerance_flags(p)
+    _add_certificate_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="simulate a trajectory to CSV traces")
@@ -219,10 +205,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mass", type=float, required=True, help="combined mass M, kg")
     p.add_argument("--damping", type=float, default=0.0, help="damping beta, N s/m")
     p.add_argument("--stiffness", type=float, required=True, help="stiffness gamma, N/m")
-    p.add_argument("--horizon", type=float, default=1.0,
-                   help="Gramian window length T (default 1)")
     p.add_argument("--out", default=None, help="also write the model JSON here")
-    _add_tolerance_flags(p)
+    _add_certificate_flags(p)
     p.set_defaults(func=_cmd_cardio)
     return parser
 

@@ -5,8 +5,9 @@ report document holds the fields of the ``ObservabilityReport`` it is
 given, route discrepancy included, as ``observability.analyze`` set them.
 
 Every float is serialized with 17 significant digits so values round
-trip exactly, and documents are emitted with a fixed key order so
-identical inputs produce byte-identical files.
+trip exactly, every other JSON scalar as ``json.dumps`` writes it, and
+documents are emitted with a fixed key order so identical inputs produce
+byte-identical files.
 
 Model document:  {"name": ..., "a": [[...]], "b": [[...]], "c": [[...]]}
 Trace file:      header "t,v1,...,vw", one comma-separated row per sample,
@@ -56,19 +57,11 @@ def _emit(value, indent: int = 0) -> str:
             return "[" + ", ".join(parts) + "]"
         rows = [f"{pad}  {part}" for part in parts]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize the non-finite number {value}")
         return format(float(value), ".17g")  # 17 digits: exact on round trip
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(value)  # true, false, null, ints and strings
 
 
 def dump_model(m: StateSpaceModel) -> str:

@@ -218,11 +218,16 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
 
     Raises:
         ValueError: nonpositive horizon.
-        NonFiniteError: the Gramian overflows over [0, T].
+        NonFiniteError: C^T C or the Gramian overflows over [0, T].
     """
     horizon = _check_horizon(horizon)
     k = expm_squarings(m.a, horizon, "doubling")
-    block = np.block([[-m.a.T, m.c.T @ m.c], [np.zeros((m.n, m.n)), m.a]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctc = m.c.T @ m.c
+    if not np.isfinite(ctc).all():
+        raise NonFiniteError(f"doubling: C^T C overflows; C has an entry of magnitude "
+                             f"{np.abs(m.c).max():.6g}")
+    block = np.block([[-m.a.T, ctc], [np.zeros((m.n, m.n)), m.a]])
     f = expm(block, np.ldexp(horizon, -k))
     phi = f[m.n:, m.n:]
     gram = phi.T @ f[:m.n, m.n:]
@@ -269,11 +274,11 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    ctc = m.c.T @ m.c
     h = horizon / steps
     eye = np.eye(m.n)
     w = np.zeros((m.n, m.n))
     with np.errstate(over="ignore", invalid="ignore"):
+        ctc = m.c.T @ m.c
         p = [eye, h * m.a]
         for i in (2, 3, 4):
             p.append(p[-1] @ p[1] / i)
@@ -365,13 +370,14 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
             not invertible, so these samples do not determine x0.
         ValueError: trace/horizon mismatch or a degenerate trace.
     """
-    return reconstruct_with_gramian(m, y, u, horizon)[0]
+    return reconstruct_with_condition(m, y, u, horizon)[0]
 
 
-def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = None,
-                             horizon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`reconstruct_initial_state`, also returning the symmetric
-    Gramian of the normal equations it solved, as (x0, gram)."""
+def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = None,
+                               horizon: float | None = None) -> tuple[np.ndarray, float]:
+    """:func:`reconstruct_initial_state`, also returning the 2-norm condition
+    number of the symmetric Gramian of the normal equations it solved, as
+    (x0, condition)."""
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
@@ -380,7 +386,7 @@ def reconstruct_with_gramian(m: StateSpaceModel, y: Trace, u: Trace | None = Non
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)
     try:
-        return solve(gram, moment), gram
+        return solve(gram, moment), float(np.linalg.cond(gram))
     except SingularMatrixError as exc:
         raise SingularGramianError(
             f"the sampled Gramian on this trace's grid (dt = {y.dt:.6g} over "

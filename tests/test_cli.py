@@ -96,6 +96,7 @@ def test_default_flags_match_library_defaults(tmp_path, capsys):
         args = build_parser().parse_args(argv)
         for flag in ("rank_tol", "pd_tol"):
             assert getattr(args, flag) == library[flag].default
+        assert args.horizon == 1.0
 
 
 def test_analyze_writes_report_file(tmp_path, capsys):
@@ -164,6 +165,18 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
     assert (tmp_path / "one_y.csv").read_bytes() == (tmp_path / "two_y.csv").read_bytes()
 
 
+def test_analyze_overflowing_c_transpose_c_is_an_error(tmp_path, capsys):
+    path = str(tmp_path / "bigc.json")
+    save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e200, 0.0]]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--model", path, "--horizon", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: doubling: C^T C overflows; "
+                   "C has an entry of magnitude 1e+200\n")
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     rc = main(["simulate", "--model", model_path, "--x0", "1,2,3",
@@ -195,6 +208,25 @@ def test_simulate_with_input_trace(tmp_path, capsys):
     ys = load_trace(prefix + "_y.csv")
     assert ys.samples.shape == (101, 1)
     assert ys.dt == pytest.approx(0.01)
+
+
+def test_input_of_the_wrong_width_is_refused_by_the_library(tmp_path, capsys):
+    model_path = cardio_model_file(tmp_path)
+    prefix = str(tmp_path / "free")
+    assert main(["simulate", "--model", model_path, "--x0", "1,0",
+                 "--dt", "0.01", "--steps", "100", "--out", prefix]) == 0
+    u_path = str(tmp_path / "u2.csv")
+    save_trace(Trace(0.0, 0.01, np.ones((101, 2))), u_path)
+    capsys.readouterr()
+    wide = str(tmp_path / "wide")
+    for argv in (["simulate", "--model", model_path, "--x0", "1,0", "--input", u_path,
+                  "--out", wide],
+                 ["reconstruct", "--model", model_path, prefix + "_y.csv", "--input", u_path]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: input trace must have width 1, got 2\n"
+    assert not list(tmp_path.glob("wide*"))
 
 
 def test_reconstruct_round_trip(tmp_path, capsys):

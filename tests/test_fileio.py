@@ -21,7 +21,7 @@ from observkit.fileio import (
 )
 from observkit.linalg import NonFiniteError
 from observkit.lti import GRID_RTOL, Trace, make_model
-from observkit.observability import analyze, reconstruct_with_gramian
+from observkit.observability import analyze, reconstruct_with_condition
 
 
 def table_model():
@@ -248,7 +248,7 @@ def test_every_trace_that_constructs_loads_again(tmp_path_factory, grid, count, 
     # and its span still matches the horizon the trace was made with
     model = make_model(np.zeros((width, width)), np.zeros((width, 1)), np.eye(width))
     try:
-        reconstruct_with_gramian(model, back, horizon=(count - 1) * trace.dt)
+        reconstruct_with_condition(model, back, horizon=(count - 1) * trace.dt)
     except ValueError as exc:  # the sums of arbitrary samples may overflow
         assert "trace spans" not in str(exc)
 
@@ -419,6 +419,27 @@ def test_vector_document():
     doc = json.loads(text)
     assert doc["x0"] == [1.0, -0.5]
     assert doc["gramian_condition"] == 4.5
+
+
+def test_vector_document_literal_bytes():
+    # floats take 17 significant digits; every other scalar is json's own
+    text = dump_vector_doc("x0", np.array([1.0, 0.1]), {
+        "yes": True, "no": False, "count": 3, "note": 'say "hi"', "none": None,
+        "grid": [[1, 2.5], [], [None, "a"]]})
+    assert text == (
+        '{\n'
+        '  "x0": [1, 0.10000000000000001],\n'
+        '  "yes": true,\n'
+        '  "no": false,\n'
+        '  "count": 3,\n'
+        '  "note": "say \\"hi\\"",\n'
+        '  "none": null,\n'
+        '  "grid": [\n'
+        '    [1, 2.5],\n'
+        '    [],\n'
+        '    [null, "a"]\n'
+        '  ]\n'
+        '}\n')
 
 
 @pytest.mark.parametrize("t0, dt", [(100.0, 1e-5), (1e6, 1e-3)])

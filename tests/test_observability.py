@@ -23,7 +23,7 @@ from observkit.observability import (
     observability_matrix,
     rank_test,
     reconstruct_initial_state,
-    reconstruct_with_gramian,
+    reconstruct_with_condition,
     reconstruction_normal_equations,
 )
 
@@ -207,6 +207,19 @@ def test_gramian_doubling_overflow_names_the_route():
             gramian_doubling(m, 1e307)
     with pytest.raises(ValueError, match="horizon"):
         gramian_doubling(m, 0.0)
+
+
+def test_an_overflowing_c_transpose_c_names_its_route():
+    # every entry of C is finite, but 1e200 squared is not
+    m = make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (analyze, gramian_doubling):
+            with pytest.raises(NonFiniteError, match=r"^doubling: C\^T C overflows; C has an "
+                                                     r"entry of magnitude 1e\+200$"):
+                route(m, 1.0)
+        with pytest.raises(NonFiniteError, match="^lyapunov-ode:"):
+            gramian_ode(m, 1.0)
 
 
 def test_gramian_ode_constant_integrand():
@@ -531,13 +544,14 @@ def test_reconstruct_is_trapezoid_weighted_least_squares(forced):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_reconstruct_with_gramian_returns_the_solved_system():
+def test_reconstruct_with_condition_returns_the_solved_systems_condition():
     m = table_model()
     u = Trace(0.0, 1e-2, np.sin(np.arange(101.0))[:, None])
     _, ys = simulate_forced(m, [0.3, -1.0], u)
-    x0, gram = reconstruct_with_gramian(m, ys, u, horizon=1.0)
-    want_gram, moment = reconstruction_normal_equations(m, ys, u)
-    np.testing.assert_array_equal(gram, want_gram)
+    x0, condition = reconstruct_with_condition(m, ys, u, horizon=1.0)
+    gram, moment = reconstruction_normal_equations(m, ys, u)
+    assert type(condition) is float
+    assert condition == np.linalg.cond(gram)
     np.testing.assert_array_equal(x0, reconstruct_initial_state(m, ys, u))
     np.testing.assert_allclose(gram @ x0, moment, rtol=1e-12)
 
