@@ -151,7 +151,10 @@ def rank(m, rel_tol: float | None = None) -> int:
 
 
 def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
-    """Symmetrize a nonempty square matrix as (m + m.T)/2 and test it.
+    """Symmetrize a nonempty square matrix as m/2 + m.T/2 and test it.
+
+    Halving first is exact, so it gives the bits of (m + m.T)/2 wherever
+    that sum is finite, and no finite m overflows.
 
     Returns (symmetrized matrix, verdict, smallest eigenvalue); the verdict
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
@@ -159,7 +162,7 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
     """
     if not 0 <= tol < np.inf:  # also false for NaN
         raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * m + 0.5 * m.T
     smallest = float(np.linalg.eigvalsh(sym)[0])
     return sym, smallest > tol * float(np.max(np.abs(np.diag(sym)))), smallest
 

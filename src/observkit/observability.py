@@ -25,6 +25,7 @@ response first, which leaves the free output of x0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,6 +242,46 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     return _finish_gramian(gram, horizon, "doubling", pd_tol)
 
 
+# Cap on the values of the powers and of each pairing matrix of one s-step RK4 block.
+_BLOCK_VALUES = 2 ** 13
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_pairings(s: int) -> np.ndarray:
+    """The pairing matrices of s RK4 steps for :func:`gramian_ode`, as one
+    2 x (2s + 1) x (4s + 1) array: the map (from delta) and the forcing
+    (from epsilon).  Entry [a, b] is d_{a+b} / (s^(a+b) a! b!) when b > a,
+    half of it when b = a, and 0 when b < a, for d = delta or epsilon, so
+    that the powers (s h A)^b need no scaling.  Every call shares them, so
+    they are read only.
+
+    u_i[k] = k! [z^k] e4(z)^i / s^k follows from u_{i-1} by the stencil
+    u_i[k] = sum_{j<=4} C(k, j) s^-j u_{i-1}[k - j] and lies in [0, 1];
+    epsilon_k / s^k is the stencil with weights 1/(j+1), j <= 3, on the sum
+    of u_i over i < s.  So no k! is formed, and nothing overflows.
+    """
+    size, inv_fact = 4 * s + 1, np.ones(4 * s + 1)
+    for b in range(1, size):
+        inv_fact[b] = inv_fact[b - 1] / b
+    binom = [np.array([math.comb(k, j) / s ** j for k in range(size)]) for j in range(5)]
+
+    def stencil(x, weights):  # sum_j weights[j] C(k, j) s^-j x[k - j]
+        return sum(wj * np.concatenate([np.zeros(j), binom[j][j:] * x[:size - j]])
+                   for j, wj in enumerate(weights))
+
+    u, v = np.eye(1, size)[0], np.zeros(size)  # e4^0, and the sum over i < s
+    for _ in range(s):
+        u, v = stencil(u, (1, 1, 1, 1, 1)), v + u
+    pairs = np.zeros((2, 2 * s + 1, size))
+    for pair, c in zip(pairs, (u, stencil(v, (1, 1 / 2, 1 / 3, 1 / 4)))):
+        for a in range(2 * s + 1):  # a <= b <= 4s - a, and half at b = a
+            pair[a, a:size - a] = c[2 * a:]
+            pair[a, a] /= 2
+    pairs *= inv_fact[:2 * s + 1, None] * inv_fact
+    pairs.setflags(write=False)
+    return pairs
+
+
 def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
                 pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
     """Gramian by RK4 integration of dW/dt = A^T W + W A + C^T C from W(0) = 0.
@@ -249,55 +290,80 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     :func:`gramian_quadrature`, so agreement with either is a real
     cross-check.
 
-    Each of the ``steps`` steps is one classical RK4 step of size
-    h = T/steps, applied as the polynomial it equals.  For a linear
-    right-hand side L(W) + Q, RK4 maps W to sum_{k<=4} (hL)^k W / k! + G
-    with G = h sum_{j<=3} (hL)^j Q / (j+1)!.  Here L(W) = A^T W + W A is a
-    left plus a right multiplication, which commute, so the binomial
-    theorem splits (hL)^k / k! into sum_{i+l=k} P_i^T W P_l with
-    P_i = (hA)^i / i!: one step is W -> sum_{i+l<=4} P_i^T W P_l + G, the
-    same map as the four stages, in another rounding order.  W stays
-    symmetric, so the (i, l) and (l, i) terms pair up and the step is
-    Y + Y^T + G with Y = W R_0 + P_1^T W R_1 + P_2^T W R_2,
+    The result is ``steps`` classical RK4 steps of size h = T/steps, and
+    ``s`` of them are applied at a time.  For a linear right-hand side
+    L(W) + Q, one RK4 step is the polynomial W -> e4(hL) W + G with
+    e4(z) = sum_{k<=4} z^k / k! and G = h phi(hL) Q,
+    phi(z) = sum_{j<=3} z^j / (j+1)!: the same map as the four stages, in
+    another rounding order.  So s steps are W -> e4(hL)^s W + G_s with
+    G_s = h (sum_{j<s} e4(hL)^j) phi(hL) Q.  Here L(W) = A^T W + W A is a
+    left plus a right multiplication, which commute, so by the binomial
+    theorem a polynomial f(hL) is W -> sum_{a,b} d_{a+b} P_a^T W P_b with
+    P_a = (hA)^a / a! and d_k = k! [z^k] f(z): delta_k for e4^s, epsilon_k
+    for the forcing, both of degree 4s.  W and Q are symmetric, so the
+    (a, b) and (b, a) terms pair up, and s steps are W -> Y + Y^T + G_s with
+    Y = sum_{a<=2s} P_a^T W R_a, where R_a sums delta_{a+b} P_b over b > a
+    and half of delta_{2a} P_a; G_s pairs up the same way.  At s = 1,
     R_0 = I/2 + P_1 + P_2 + P_3 + P_4, R_1 = P_1/2 + P_2 + P_3, R_2 = P_2/2.
+    The code takes the powers (s h A)^b, whose scale at most halves with b,
+    and folds s^-k and the factorials into the coefficients of R_a
+    (:func:`_rk4_pairings`), which leaves every term as it is.
 
-    The factors are laid out as two n x 3n matrices, right = [R_0 R_1 R_2]
-    and left with left[c, 3a + j] = (P_j^T)[c, a].  Row a of W @ right
-    holds the rows a of W R_0, W R_1 and W R_2 side by side, so the same
-    buffer read as 3n x n has row 3a + j equal to row a of W R_j, and
-    left times it is Y.  The buffers for W @ right (n x 3n) and Y (n x n)
-    are allocated once per call; each step is the two 2-D products into
-    them, then W = Y^T + Y + G by a transposed copy and two in-place
-    additions, and allocates nothing.
+    s is the largest power of two within three limits:
+
+    * s^2 <= steps: the setup of a block grows with s and the step loop
+      shrinks as steps/s, and this balances the two;
+    * s ||hA||_1 <= 1/2, the scaling of
+      :func:`~observkit.linalg.expm_squarings`: each term P_a^T W P_b of
+      the degree-4s sum is then at most 2^-(a+b) / (a! b!) of W in size, so
+      the sum converges fast and no term cancels a much larger one (a stiff
+      model, whose single steps are long, runs s = 1);
+    * (4s + 1) max(n^2, 2s + 1) <= 2^13 values, the stack of powers and
+      each cached pairing matrix, so memory stays bounded at every n and
+      every step count (s <= 16, and n >= 31 runs s = 1).
+
+    The steps % s left over run as single steps (s = 1).
+
+    The factors are laid out as two n x (2s+1)n matrices,
+    right = [R_0 ... R_2s] and left with left[c, (2s+1)a + j] = (P_j^T)[c, a].
+    Row a of W @ right holds the rows a of every W R_j side by side, so the
+    same buffer read as (2s+1)n x n has row (2s+1)a + j equal to row a of
+    W R_j, and left times it is Y.  Each application is the two 2-D products
+    into buffers allocated once per block size, then W = Y^T + Y + G_s by a
+    transposed copy and two in-place additions.
     """
     horizon = _check_horizon(horizon)
     steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    h = horizon / steps
-    eye = np.eye(m.n)
-    w = np.zeros((m.n, m.n))
+    h, n = horizon / steps, m.n
+    w = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        ctc = m.c.T @ m.c
-        p = [eye, h * m.a]
-        for i in (2, 3, 4):
-            p.append(p[-1] @ p[1] / i)
-        g = ctc
-        for j in (4, 3, 2):  # Horner: G = h (Q + hL/2 (Q + hL/3 (Q + hL/4 Q)))
-            g = ctc + (h / j) * (m.a.T @ g + g @ m.a)
-        g = h * g
-        left = np.stack([eye, p[1].T, p[2].T], axis=2).reshape(m.n, 3 * m.n)
-        right = np.hstack([0.5 * eye + p[1] + p[2] + p[3] + p[4],
-                           0.5 * p[1] + p[2] + p[3], 0.5 * p[2]])
-        wr = np.empty((m.n, 3 * m.n))
-        stack = wr.reshape(3 * m.n, m.n)
-        y = np.empty((m.n, m.n))
-        for _ in range(steps):  # stack is wr read as 3n x n, so left @ stack = Y
-            np.dot(w, right, out=wr)
-            np.dot(left, stack, out=y)
-            w[...] = y.T  # a copy; an add with a transposed operand is slower
-            w += y
-            w += g
+        hq = h * (m.c.T @ m.c)
+        norm, block = np.linalg.norm(h * m.a, 1), 1
+        while (4 * block * block <= steps and 2 * block * norm <= 0.5
+               and (8 * block + 1) * max(n * n, 4 * block + 1) <= _BLOCK_VALUES):
+            block *= 2
+        # blocks of s = block steps, then the steps % block left over one at a time
+        for s, count in [(block, steps // block)] + [(1, steps % block)] * (steps % block > 0):
+            p = np.empty((4 * s + 1, n, n))  # p[b] = (s h A)^b, by doubling
+            p[0], p[1], top = np.eye(n), (s * h) * m.a, 1
+            while top < 4 * s:
+                k = min(top, 4 * s - top)
+                np.dot(p[1:k + 1].reshape(-1, n), p[top], out=p[top + 1:top + k + 1].reshape(-1, n))
+                top += k
+            right, forcing = ((c @ p.reshape(4 * s + 1, -1)).reshape(-1, n, n)
+                              .transpose(1, 0, 2).reshape(n, -1) for c in _rk4_pairings(s))
+            left = p[:2 * s + 1].transpose(2, 1, 0).reshape(n, -1)
+            y = left @ (hq @ forcing).reshape(-1, n)
+            g, wr = y + y.T, np.empty_like(right)
+            stack = wr.reshape(-1, n)
+            for _ in range(count):  # stack is wr read as (2s+1)n x n, so left @ stack = Y
+                np.dot(w, right, out=wr)
+                np.dot(left, stack, out=y)
+                w[...] = y.T  # a copy; an add with a transposed operand is slower
+                w += y
+                w += g
     if not np.isfinite(w).all():  # a non-finite W stays non-finite
         raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
                              f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "
@@ -370,7 +436,7 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
             not invertible, so these samples do not determine x0.
         ValueError: trace/horizon mismatch or a degenerate trace.
     """
-    return reconstruct_with_condition(m, y, u, horizon)[0]
+    return _solve_normal_equations(m, y, u, horizon)[0]
 
 
 def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = None,
@@ -378,6 +444,13 @@ def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = N
     """:func:`reconstruct_initial_state`, also returning the 2-norm condition
     number of the symmetric Gramian of the normal equations it solved, as
     (x0, condition)."""
+    x0, gram = _solve_normal_equations(m, y, u, horizon)
+    return x0, float(np.linalg.cond(gram))
+
+
+def _solve_normal_equations(m: StateSpaceModel, y: Trace, u: Trace | None,
+                            horizon: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """x0 from the normal equations on the trace's grid, and their Gramian."""
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
@@ -386,7 +459,7 @@ def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = N
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)
     try:
-        return solve(gram, moment), float(np.linalg.cond(gram))
+        return solve(gram, moment), gram
     except SingularMatrixError as exc:
         raise SingularGramianError(
             f"the sampled Gramian on this trace's grid (dt = {y.dt:.6g} over "

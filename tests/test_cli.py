@@ -177,6 +177,23 @@ def test_analyze_overflowing_c_transpose_c_is_an_error(tmp_path, capsys):
                    "C has an entry of magnitude 1e+200\n")
 
 
+def test_analyze_gramian_near_the_float_limit(tmp_path, capsys):
+    # C^T C = 1.69e308 is finite and the Gramian reaches 1.2e308: both
+    # routes certify, with no RuntimeWarning and no warning line
+    path = str(tmp_path / "bigc.json")
+    save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.3e154, 0.0]]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--model", path, "--horizon", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "model: completely observable over [0, 1] (rank 2/2, " \
+                  "min Gramian eigenvalue 1.340e+307)\n"
+    doc = json.loads(out)
+    assert doc["observable"] and doc["consistent"]
+    assert doc["gramian"]["matrix"][0][0] > 1e308
+    assert doc["gramian_route_discrepancy"] < 1e-6
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     rc = main(["simulate", "--model", model_path, "--x0", "1,2,3",

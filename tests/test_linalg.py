@@ -169,6 +169,21 @@ def test_definiteness_rejects_bad_tolerance():
     assert not is_positive_definite(singular, 0.0)
 
 
+def test_definiteness_of_a_matrix_near_the_float_limit():
+    # m + m.T overflows here; m/2 + m.T/2 does not, and where the sum is
+    # finite the halves give its bits
+    big = np.array([[1.2e308, 6e307], [5e307, 4.6e307]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sym, positive_definite, smallest = definiteness(big, 1e-10)
+    np.testing.assert_array_equal(sym, [[1.2e308, 5.5e307], [5.5e307, 4.6e307]])
+    assert positive_definite and np.isfinite(smallest) and smallest > 0
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        m = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-300, 300)
+        np.testing.assert_array_equal(definiteness(m, 0.0)[0], 0.5 * (m + m.T))
+
+
 def test_empty_matrix_default_tolerance_is_positive():
     empty = np.zeros((0, 0))
     assert rank(empty) == 0

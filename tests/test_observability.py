@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -250,10 +251,13 @@ def test_gramian_ode_rejects_bad_arguments():
 
 
 def test_gramian_ode_instability_names_the_stage():
-    # stable model, but 1000 RK4 steps of 0.2 leave RK4's stability region
+    # stable model, but 1000 RK4 steps of 0.2 leave RK4's stability region;
+    # at T = 1, ||hA||_1 = 0.2 runs blocks of two steps, finite and silent
     m = table_model(mass=0.5, damping=0.5, stiffness=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        got, want = gramian_ode(m, 1.0).gramian, four_stage_rk4_gramian(m, 1.0, 1000)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         with pytest.raises(NonFiniteError, match=r"lyapunov-ode: .*\[0, 200\] with 1000 RK4"):
             gramian_ode(m, 200.0)
 
@@ -303,6 +307,42 @@ def test_gramian_ode_matches_four_stage_rk4():
                 assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
     m = make_model(rng.uniform(-2.0, 2.0, (5, 5)), np.ones((5, 1)), np.zeros((2, 5)))
     np.testing.assert_array_equal(gramian_ode(m, 5.0).gramian, np.zeros((5, 5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), q=st.integers(1, 2),
+       steps=st.sampled_from([1, 2, 3, 7, 31, 33, 1000]), log2_step_norm=st.floats(-10.0, 0.0))
+def test_gramian_ode_blocks_match_four_stage_rk4(data, n, q, steps, log2_step_norm):
+    # ||hA||_1 = 2^log2_step_norm falls on both sides of 1/(2s) for each
+    # block size s the step count allows, and the step counts leave single
+    # steps over
+    entries = st.floats(-2.0, 2.0)
+    a = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    c = np.array(data.draw(st.lists(entries, min_size=q * n, max_size=q * n))).reshape(q, n)
+    norm = np.linalg.norm(a, 1)
+    m = make_model(a, np.ones((n, 1)), c)
+    horizon = steps * 2.0 ** log2_step_norm / max(norm, 1e-3)
+    with np.errstate(all="ignore"):
+        want = four_stage_rk4_gramian(m, horizon, steps)
+    assume(np.abs(want).max() < 1e150)  # so no square in the norms overflows
+    got = gramian_ode(m, horizon, steps).gramian
+    assert np.linalg.norm(got - 0.5 * (want + want.T)) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_gramian_ode_memory_is_bounded():
+    # the powers and the pairing matrices of one block hold at most 2^13
+    # values each, at every n and every step count
+    rng = np.random.default_rng(64)
+    for n, steps in ((2, 1000), (24, 1000), (1, 2 ** 16)):
+        m = make_model(rng.uniform(-2.0, 2.0, (n, n)), np.ones((n, 1)),
+                       rng.standard_normal((1, n)))
+        tracemalloc.start()
+        try:
+            gramian_ode(m, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (n, steps, peak)
 
 
 def test_gramian_ode_results_are_isolated():
@@ -544,7 +584,7 @@ def test_reconstruct_is_trapezoid_weighted_least_squares(forced):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_reconstruct_with_condition_returns_the_solved_systems_condition():
+def test_reconstruct_with_condition_returns_the_solved_systems_condition(monkeypatch):
     m = table_model()
     u = Trace(0.0, 1e-2, np.sin(np.arange(101.0))[:, None])
     _, ys = simulate_forced(m, [0.3, -1.0], u)
@@ -552,6 +592,8 @@ def test_reconstruct_with_condition_returns_the_solved_systems_condition():
     gram, moment = reconstruction_normal_equations(m, ys, u)
     assert type(condition) is float
     assert condition == np.linalg.cond(gram)
+    # x0 alone takes no condition number
+    monkeypatch.setattr(np.linalg, "cond", None)
     np.testing.assert_array_equal(x0, reconstruct_initial_state(m, ys, u))
     np.testing.assert_allclose(gram @ x0, moment, rtol=1e-12)
 
