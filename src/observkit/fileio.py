@@ -45,13 +45,9 @@ class ParseError(ValueError):
 def _emit(value, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         rows = [f'{pad}  "{k}": {_emit(v, indent + 1)}' for k, v in value.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         parts = [_emit(v, indent + 1) for v in value]
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return "[" + ", ".join(parts) + "]"

@@ -150,11 +150,18 @@ def rank(m, rel_tol: float | None = None) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
-    """Symmetrize a nonempty square matrix as m/2 + m.T/2 and test it.
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """The symmetric part of a square matrix, as m/2 + m.T/2.
 
-    Halving first is exact, so it gives the bits of (m + m.T)/2 wherever
-    that sum is finite, and no finite m overflows.
+    Halving is exact unless the half is subnormal, so this gives the bits
+    of (m + m.T)/2 wherever that sum is finite and no half is subnormal,
+    and no finite m overflows.
+    """
+    return 0.5 * m + 0.5 * m.T
+
+
+def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
+    """Symmetrize a nonempty square matrix by :func:`symmetrize` and test it.
 
     Returns (symmetrized matrix, verdict, smallest eigenvalue); the verdict
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
@@ -162,7 +169,7 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
     """
     if not 0 <= tol < np.inf:  # also false for NaN
         raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
-    sym = 0.5 * m + 0.5 * m.T
+    sym = symmetrize(m)
     smallest = float(np.linalg.eigvalsh(sym)[0])
     return sym, smallest > tol * float(np.max(np.abs(np.diag(sym)))), smallest
 
@@ -179,13 +186,16 @@ def is_positive_definite(m, tol: float = DEFAULT_PD_TOL) -> bool:
     return m.size > 0 and definiteness(m, tol)[1]
 
 
-def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
+def solve(m, rhs) -> tuple[np.ndarray, float]:
     """Solve ``m @ x = rhs`` after checking numerical nonsingularity.
 
-    Raises :class:`SingularMatrixError` (carrying a condition estimate)
-    when the smallest singular value falls below ``rel_tol`` times the
-    largest; default tolerance, and ``ValueError`` when it is not
-    positive and finite, as in :func:`rank`.
+    Returns (x, condition): the condition is the 2-norm condition number
+    s_max / s_min of the singular values the check takes, which is what
+    ``np.linalg.cond(m)`` computes, to the bit.
+
+    Raises :class:`SingularMatrixError` (carrying that condition number)
+    when the smallest singular value is at most the largest times the
+    default tolerance of :func:`rank`, machine epsilon times the dimension.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -198,13 +208,13 @@ def solve(m, rhs, rel_tol: float | None = None) -> np.ndarray:
             f"right-hand side has {rhs_arr.shape[0]} rows, matrix is {m.shape[0]}x{m.shape[1]}")
     if rhs_arr.size and not np.isfinite(rhs_arr).all():
         raise NonFiniteError("right-hand side contains non-finite entries")
-    s, rel_tol = _singular_values(m, rel_tol)
+    s, rel_tol = _singular_values(m, None)
     smax = float(s[0]) if s.size else 0.0
     smin = float(s[-1]) if s.size else 0.0
+    cond = float("inf") if smin == 0.0 else smax / smin
     if smax == 0.0 or smin <= rel_tol * smax:
-        cond = float("inf") if smin == 0.0 else smax / smin
         raise SingularMatrixError(
             f"matrix is singular at relative tolerance {rel_tol:.3e} "
             f"(condition estimate {cond:.3e}, smallest singular value {smin:.3e})",
             condition=cond, min_singular_value=smin)
-    return np.linalg.solve(m, rhs_arr)
+    return np.linalg.solve(m, rhs_arr), cond

@@ -206,24 +206,20 @@ def propagate(phi, v, stage: str) -> np.ndarray:
 
 def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
                   steps: int = 1000) -> tuple[Trace, Trace]:
-    """Free response (no input) on a uniform grid.
+    """Free response (no input) on a uniform grid: :func:`simulate_forced`
+    under an identically zero input of steps + 1 samples.
 
     Sample k is Phi(dt)^k x0 from :func:`propagate`, so it equals
-    exp(A k dt) x0 up to exponential accuracy.
+    exp(A k dt) x0 up to exponential accuracy.  The grid is checked by
+    :class:`Trace` before any work is done.
 
     Returns:
         (x trace, y trace), each with steps + 1 samples.
     """
-    x0 = _check_x0(m, x0)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     steps = as_count(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    v = np.zeros((steps + 1, m.n))
-    v[0] = x0
-    xs = propagate(expm(m.a, dt), v, "simulate")
-    return Trace(t0, dt, xs), Trace(t0, dt, xs @ m.c.T)
+    return simulate_forced(m, x0, Trace(t0, dt, np.zeros((steps + 1, m.p))))
 
 
 def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -246,10 +242,10 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
 
     The input is held constant on each [t_k, t_{k+1}), which admits the
     exact per-step update x_{k+1} = A_d x_k + B_d u_k, run by
-    :func:`propagate`.  A_d is ``expm(A, dt)``, the Phi(dt) of
-    :func:`simulate_free`, and only B_d comes from :func:`zoh_discretize`,
-    so an identically zero input gives :func:`simulate_free`'s samples bit
-    for bit.  The returned traces share the input's grid.
+    :func:`propagate`.  A_d is ``expm(A, dt)``, so an identically zero
+    input gives exactly the samples of Phi(dt)^k x0, with no rounding from
+    B_d; :func:`simulate_free` is that case.  Only B_d comes from
+    :func:`zoh_discretize`.  The returned traces share the input's grid.
     """
     x0 = _check_x0(m, x0)
     if u.width != m.p:

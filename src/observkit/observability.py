@@ -43,6 +43,7 @@ from observkit.linalg import (
     is_positive_definite,  # noqa: F401  (perfbench/spans.py wraps it on this module)
     rank,
     solve,
+    symmetrize,
 )
 from observkit.lti import StateSpaceModel, Trace, propagate, simulate_forced, times_agree
 
@@ -412,7 +413,7 @@ def reconstruction_normal_equations(
     weights = np.full(samples.shape[0], y.dt)
     weights[0] = weights[-1] = 0.5 * y.dt
     gram, moment = _weighted_sums(m, y.dt, weights, samples, "reconstruct")
-    return 0.5 * (gram + gram.T), moment
+    return symmetrize(gram), moment
 
 
 def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
@@ -436,21 +437,16 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
             not invertible, so these samples do not determine x0.
         ValueError: trace/horizon mismatch or a degenerate trace.
     """
-    return _solve_normal_equations(m, y, u, horizon)[0]
+    return reconstruct_with_condition(m, y, u, horizon)[0]
 
 
 def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = None,
                                horizon: float | None = None) -> tuple[np.ndarray, float]:
     """:func:`reconstruct_initial_state`, also returning the 2-norm condition
     number of the symmetric Gramian of the normal equations it solved, as
-    (x0, condition)."""
-    x0, gram = _solve_normal_equations(m, y, u, horizon)
-    return x0, float(np.linalg.cond(gram))
-
-
-def _solve_normal_equations(m: StateSpaceModel, y: Trace, u: Trace | None,
-                            horizon: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """x0 from the normal equations on the trace's grid, and their Gramian."""
+    (x0, condition).  The condition comes from the singular values that
+    :func:`~observkit.linalg.solve` takes to check the Gramian, so it costs
+    nothing more."""
     if horizon is not None:
         horizon = _check_horizon(horizon)
         span = y.duration
@@ -459,7 +455,7 @@ def _solve_normal_equations(m: StateSpaceModel, y: Trace, u: Trace | None,
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
     gram, moment = reconstruction_normal_equations(m, y, u)
     try:
-        return solve(gram, moment), gram
+        return solve(gram, moment)
     except SingularMatrixError as exc:
         raise SingularGramianError(
             f"the sampled Gramian on this trace's grid (dt = {y.dt:.6g} over "

@@ -194,6 +194,23 @@ def test_analyze_gramian_near_the_float_limit(tmp_path, capsys):
     assert doc["gramian_route_discrepancy"] < 1e-6
 
 
+def test_reconstruct_gramian_near_the_float_limit(tmp_path, capsys):
+    # the sampled Gramian reaches 1.1e308 and is symmetrized without
+    # overflow, so x0 is recovered with no RuntimeWarning
+    path = str(tmp_path / "bigc.json")
+    prefix = str(tmp_path / "nm")
+    save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.3e154, 0.0]]), path)
+    assert main(["simulate", "--model", path, "--x0", "1,0.5", "--dt", "1", "--steps", "1",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--model", path, prefix + "_y.csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "reconstructed x0 over [0, 1] (Gramian condition 3.351e+00)\n"
+    assert json.loads(out)["x0"] == [1.0, 0.49999999999999978]
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     rc = main(["simulate", "--model", model_path, "--x0", "1,2,3",
@@ -443,9 +460,21 @@ def test_bad_tolerance_flag_is_an_error(capsys, stiffness, flag):
 def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path, stiffness=2.0)
     err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",
+                            "--dt", "1e308", "--steps", "1",
+                            "--out", str(tmp_path / "r")], capsys)
+    assert err.startswith("error: expm: A t is too large to scale")
+
+
+def test_simulate_checks_the_grid_before_any_work(tmp_path, capsys):
+    # the third sample time overflows: Trace refuses the grid before the
+    # exponential of A dt is attempted, and nothing is written
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",
                             "--dt", "1e308", "--steps", "2",
                             "--out", str(tmp_path / "r")], capsys)
-    assert err.startswith("error: expm")
+    assert err == ("error: t0 = 0.0 and dt = 1e+308 give sample 2 at t = inf: "
+                   "time column must be finite\n")
+    assert not list(tmp_path.glob("r_*"))
 
 
 def test_simulate_refuses_a_trace_it_could_not_load_again(tmp_path, capsys):

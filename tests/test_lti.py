@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -144,8 +145,9 @@ def test_simulate_free_zero_steps_gives_single_sample():
 def test_simulate_free_rejects_bad_arguments():
     with pytest.raises(ShapeMismatchError, match="width 2"):
         simulate_free(oscillator(), [1.0, 2.0, 3.0])
-    for dt in (-0.1, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+    for dt in (0.0, -0.1, float("inf"), float("nan")):
+        message = f"t0 must be finite and dt finite and positive, got 0.0, {dt}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             simulate_free(oscillator(), [1.0, 2.0], dt=dt)
     with pytest.raises(ValueError):
         simulate_free(oscillator(), [1.0, 2.0], steps=-1)

@@ -487,6 +487,21 @@ def test_reconstruct_from_two_samples():
     assert np.linalg.norm(got - x0) / np.linalg.norm(x0) <= 1e-6
 
 
+def test_reconstruct_gramian_near_the_float_limit():
+    # the sampled Gramian reaches 1.1e308, so gram + gram.T would overflow;
+    # the symmetrization halves first and the solve recovers x0
+    m = make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.3e154, 0.0]])
+    _, ys = simulate_free(m, [1.0, 0.5], 0.0, 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram, _ = reconstruction_normal_equations(m, ys)
+        x0, condition = reconstruct_with_condition(m, ys)
+    assert gram[0, 0] > 1e308
+    np.testing.assert_array_equal(gram, gram.T)
+    np.testing.assert_allclose(x0, [1.0, 0.5], rtol=1e-12)
+    assert 3.35 < condition < 3.36
+
+
 def test_reconstruct_zero_trace_gives_zero_state():
     m = table_model()
     ys = Trace(0.0, 1e-2, np.zeros((101, 1)))
