@@ -245,12 +245,17 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     :func:`propagate`.  A_d is ``expm(A, dt)``, so an identically zero
     input gives exactly the samples of Phi(dt)^k x0, with no rounding from
     B_d; :func:`simulate_free` is that case.  Only B_d comes from
-    :func:`zoh_discretize`.  The returned traces share the input's grid.
+    :func:`zoh_discretize`, and only when a held sample u_0 ... u_{N-2} is
+    nonzero, so a response without input never exponentiates B (whose
+    block may be too large to scale).  The returned traces share the
+    input's grid.
     """
     x0 = _check_x0(m, x0)
     if u.width != m.p:
         raise ShapeMismatchError(f"input trace must have width {m.p}, got {u.width}")
-    bd = zoh_discretize(m.a, m.b, u.dt)[1]
-    v = np.vstack([x0, u.samples[:-1] @ bd.T])
+    v = np.zeros((u.samples.shape[0], m.n))
+    v[0] = x0
+    if u.samples[:-1].any():
+        v[1:] = u.samples[:-1] @ zoh_discretize(m.a, m.b, u.dt)[1].T
     xs = propagate(expm(m.a, u.dt), v, "simulate")
     return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, xs @ m.c.T)

@@ -405,9 +405,10 @@ def test_cardio_non_finite_parameter_is_an_error(capsys, flag, value, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--mass", "0.5", "--damping", "0.5", "--stiffness", "100", "--horizon", "113"],
     ["--mass", "0.5", "--damping", "0.5", "--stiffness", "100", "--horizon", "200"],
     ["--mass", "1", "--stiffness", "1", "--horizon", "1e6"],  # the paper's table
-], ids=["stiff-T200", "paper-T1e6"])
+], ids=["stiff-T113", "stiff-T200", "paper-T1e6"])
 def test_cardio_unstable_ode_route_is_skipped_with_a_warning(capsys, argv):
     # the RK4 cross-check overflows; the doubling Gramian is finite and decides
     with warnings.catch_warnings():
@@ -424,7 +425,7 @@ def test_cardio_unstable_ode_route_is_skipped_with_a_warning(capsys, argv):
     assert "completely observable" in verdict
 
 
-@pytest.mark.parametrize("horizon", ["103", "110"])
+@pytest.mark.parametrize("horizon", ["103", "110", "112"])
 def test_cardio_contradicting_ode_route_warns(capsys, horizon):
     # RK4 stays finite but is unstable here: its "Gramian" is indefinite
     # while the doubling Gramian is diag(100, 0.5), which decides

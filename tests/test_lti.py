@@ -119,6 +119,18 @@ def test_simulate_free_constant_for_zero_dynamics():
     np.testing.assert_array_equal(ys.samples, np.full((21, 1), 3.0))
 
 
+def test_simulate_free_never_exponentiates_b():
+    # ||B||_1 dt = 1e310 is past what expm can scale, but a free response
+    # has no input for B_d to act on; bytes, so that a -0 would show
+    m = make_model([[0.0]], [[1e300]], [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = simulate_free(m, [2.0], 0.0, 1e10, 3)
+        zs, ws = simulate_free(make_model([[0.5]], [[-1.0]], [[-1.0]]), [0.0], 0.0, 0.1, 3)
+    assert xs.samples.tobytes() == ys.samples.tobytes() == np.full((4, 1), 2.0).tobytes()
+    assert zs.samples.tobytes() == ws.samples.tobytes() == np.zeros((4, 1)).tobytes()
+
+
 def test_simulate_free_oscillator_closed_form():
     # x(t) = [cos t, -sin t] for x0 = [1, 0]; the sensor sees -sin t
     xs, ys = simulate_free(oscillator(), [1.0, 0.0], 0.0, 0.01, 600)

@@ -252,7 +252,7 @@ def test_gramian_ode_rejects_bad_arguments():
 
 def test_gramian_ode_instability_names_the_stage():
     # stable model, but 1000 RK4 steps of 0.2 leave RK4's stability region;
-    # at T = 1, ||hA||_1 = 0.2 runs blocks of two steps, finite and silent
+    # at T = 1, with ||hA||_1 = 0.2, the steps stay finite and silent
     m = table_model(mass=0.5, damping=0.5, stiffness=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -272,6 +272,24 @@ def test_analyze_skips_an_overflowing_ode_cross_check():
     assert report.gramian_ode is None and report.route_discrepancy is None
     assert report.observable and report.consistent
     np.testing.assert_allclose(report.gramian.gramian, np.diag([100.0, 0.5]), atol=1e-12)
+
+
+@pytest.mark.parametrize("a,c", [
+    ([[1.0]], [[0.0]]),  # C = 0: nothing drives W, which stays exactly 0
+    ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0]]),  # the growing mode is unobservable
+], ids=["zero-output", "unobservable-growth"])
+def test_ode_cross_check_survives_powers_that_overflow_in_an_unexcited_mode(a, c):
+    # over [0, 1000] the step map has the factor e4(2) = 7 in the mode of
+    # A = 1, and its powers overflow; C^T C does not excite that mode, so
+    # the RK4 steps stay finite and the cross-check is kept
+    m = make_model(a, np.ones((len(a), 1)), c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(m, 1000.0)
+    want = four_stage_rk4_gramian(m, 1000.0, 1000)
+    got = report.gramian_ode.gramian
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert report.route_discrepancy <= 1e-12
 
 
 def four_stage_rk4_gramian(m, horizon, steps):
