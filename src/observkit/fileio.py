@@ -2,7 +2,8 @@
 
 This module serializes and parses; it computes nothing it writes.  A
 report document holds the fields of the ``ObservabilityReport`` it is
-given, route discrepancy included, as ``observability.analyze`` set them.
+given, route discrepancy included; the report computes its RK4
+cross-check when ``dump_report`` first reads it.
 
 Every float is serialized with 17 significant digits so values round
 trip exactly, every other JSON scalar as ``json.dumps`` writes it, and

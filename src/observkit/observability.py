@@ -10,7 +10,8 @@ Two tests of the same property:
   (one Van Loan block exponential, then doubling up to T), which has no
   discretisation.  :func:`gramian_ode`, RK4 integration of the
   differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0,
-  is the independent cross-check that rides along in the report.
+  is the independent cross-check, which the report computes when it is
+  first read.
   Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
   route, on a grid the caller picks.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,13 +91,17 @@ class ObservabilityReport:
     ``kalman_rank`` and ``kalman_observable`` are what :func:`rank_test`
     returns; the observability matrix itself is not kept, since no verdict
     reads it (call :func:`observability_matrix` to see it).  ``gramian``
-    holds the doubling result (the verdict-bearing route); ``gramian_ode``
-    holds the independent Lyapunov-ODE cross-check, which no verdict depends
-    on, and ``route_discrepancy`` its distance from ``gramian``, relative
-    to ||gramian||_F (absolute when ``gramian`` is zero).  Both are None
-    when the RK4 integration or that distance overflowed.  ``consistent`` is
+    holds the doubling result (the verdict-bearing route).  ``consistent`` is
     false when the rank and Gramian verdicts disagree, which signals a
     tolerance problem rather than a property of the model.
+
+    ``gramian_ode`` and ``route_discrepancy`` are the independent
+    Lyapunov-ODE cross-check, which no verdict depends on.  The report
+    computes them on the first read of either, once: :func:`gramian_ode`
+    over the same horizon at the same ``pd_tol``, and its distance from
+    ``gramian``, relative to ||gramian||_F (absolute when ``gramian`` is
+    zero).  Both are None when the RK4 integration or that distance
+    overflows.  A caller that reads only the verdicts never runs RK4.
     """
 
     kalman_rank: int
@@ -105,13 +110,33 @@ class ObservabilityReport:
     gramian_observable: bool
     consistent: bool
     gramian: GramianResult
-    gramian_ode: GramianResult | None
-    route_discrepancy: float | None
+    _model: StateSpaceModel = field(repr=False, compare=False)
+    _pd_tol: float = field(repr=False, compare=False)
 
     @property
     def observable(self) -> bool:
         """The overall verdict: both the rank and the Gramian route say observable."""
         return self.kalman_observable and self.gramian_observable
+
+    # cached_property stores into the instance __dict__ directly, which the
+    # frozen dataclass's __setattr__ does not guard
+    @functools.cached_property
+    def _cross_check(self) -> tuple[GramianResult | None, float | None]:
+        try:
+            ode = gramian_ode(self._model, self.gramian.horizon, pd_tol=self._pd_tol)
+            return ode, _route_discrepancy(self.gramian.gramian, ode.gramian)
+        except (NonFiniteError, OverflowError):
+            return None, None
+
+    @property
+    def gramian_ode(self) -> GramianResult | None:
+        """The RK4 Lyapunov-ODE Gramian, or None when it overflowed."""
+        return self._cross_check[0]
+
+    @property
+    def route_discrepancy(self) -> float | None:
+        """Distance of ``gramian_ode`` from ``gramian``, or None when either overflowed."""
+        return self._cross_check[1]
 
 
 def observability_matrix(m: StateSpaceModel) -> np.ndarray:
@@ -416,10 +441,7 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     instead: the powers of the step map can overflow in a mode that
     C^T C does not excite (C = 0, or an unobservable growing mode over a
     long horizon), and inf * 0 then makes W NaN although the steps stay
-    finite.  So only steps that overflow themselves fail.  On a 2-vCPU
-    host with one BLAS thread, the certify benchmark op (one
-    :func:`analyze` at T = 1, n <= 24, mostly n = 2) takes 0.50 ms at the
-    median with powering for small n, against 0.86 ms with blocks alone.
+    finite.  So only steps that overflow themselves fail.
     """
     horizon = _check_horizon(horizon)
     steps = as_count(steps, "steps")
@@ -554,23 +576,18 @@ def _route_discrepancy(ref: np.ndarray, other: np.ndarray) -> float:
 def analyze(m: StateSpaceModel, horizon: float,
             rank_tol: float | None = None,
             pd_tol: float = DEFAULT_PD_TOL) -> ObservabilityReport:
-    """Run the rank test and two Gramian routes; return the full certificate.
+    """Run the rank test and the doubling Gramian; return the full certificate.
 
     The rank verdict comes from :func:`rank_test` at ``rank_tol``.  The
     Gramian verdict carried in ``gramian_observable`` comes from
-    :func:`gramian_doubling`, which has no discretisation to tune; the
-    :func:`gramian_ode` result rides along for cross-checking, with its
-    route discrepancy from the doubling Gramian.  Both are None when the RK4
-    steps or that discrepancy overflow, since neither verdict rests on them.
-    ``consistent`` compares the rank verdict with the Gramian verdict.
+    :func:`gramian_doubling`, which has no discretisation to tune.
+    ``consistent`` compares the rank verdict with the Gramian verdict.  The
+    report keeps ``m`` and ``pd_tol`` for its :func:`gramian_ode`
+    cross-check, which it computes only when ``gramian_ode`` or
+    ``route_discrepancy`` is first read.
     """
     r, kalman_observable = rank_test(m, rank_tol)
     gram = gramian_doubling(m, horizon, pd_tol)
-    try:
-        ode = gramian_ode(m, horizon, pd_tol=pd_tol)
-        discrepancy = _route_discrepancy(gram.gramian, ode.gramian)
-    except (NonFiniteError, OverflowError):
-        ode = discrepancy = None
     return ObservabilityReport(
         kalman_rank=r,
         rank_required=m.n,
@@ -578,6 +595,6 @@ def analyze(m: StateSpaceModel, horizon: float,
         gramian_observable=gram.positive_definite,
         consistent=kalman_observable == gram.positive_definite,
         gramian=gram,
-        gramian_ode=ode,
-        route_discrepancy=discrepancy,
+        _model=m,
+        _pd_tol=pd_tol,
     )

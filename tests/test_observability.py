@@ -12,8 +12,15 @@ from helpers import (
     random_unobservable_model,
     unstable_saddle_model,
 )
-from observkit.cardio import CardioParams, build_cardio_model
-from observkit.linalg import NonFiniteError, ShapeMismatchError, is_positive_definite, rank
+from observkit import observability
+from observkit.cardio import CardioParams, build_cardio_model, certify_cardio
+from observkit.linalg import (
+    DEFAULT_PD_TOL,
+    NonFiniteError,
+    ShapeMismatchError,
+    is_positive_definite,
+    rank,
+)
 from observkit.lti import Trace, make_model, simulate_forced, simulate_free
 from observkit.observability import (
     SingularGramianError,
@@ -290,6 +297,63 @@ def test_ode_cross_check_survives_powers_that_overflow_in_an_unexcited_mode(a, c
     got = report.gramian_ode.gramian
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert report.route_discrepancy <= 1e-12
+
+
+@pytest.fixture
+def ode_calls(monkeypatch):
+    """Every call the report makes to gramian_ode, through the module name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return gramian_ode(*args, **kwargs)
+
+    monkeypatch.setattr(observability, "gramian_ode", counted)
+    return calls
+
+
+def test_verdicts_run_no_rk4_cross_check(ode_calls):
+    reports = [analyze(table_model(), 1.0), analyze(HIDDEN_MODEL, 2.0),
+               certify_cardio(CardioParams(1.0, 0.5, 2.0), 1.0)]
+    assert [(r.kalman_rank, r.observable, r.consistent) for r in reports] == [
+        (2, True, True), (1, False, True), (2, True, True)]
+    assert ode_calls == []
+
+
+def test_cross_check_runs_once_on_first_read(ode_calls):
+    report = analyze(table_model(), 1.0)
+    assert ode_calls == []
+    ode, discrepancy = report.gramian_ode, report.route_discrepancy
+    assert len(ode_calls) == 1
+    assert report.route_discrepancy == discrepancy and report.gramian_ode is ode
+    assert len(ode_calls) == 1
+
+
+@pytest.mark.parametrize("m, horizon, pd_tol", [
+    (table_model(), 1.0, DEFAULT_PD_TOL),
+    (random_observable_model(np.random.default_rng(8), 8), 1.5, DEFAULT_PD_TOL),
+    (table_model(mass=0.5, damping=0.5, stiffness=100.0), 50.0, 1e-6),
+], ids=["table", "random-n8", "stiff-pd-tol"])
+def test_lazy_cross_check_is_the_eager_one(m, horizon, pd_tol):
+    report = analyze(m, horizon, pd_tol=pd_tol)
+    want = gramian_ode(m, horizon, pd_tol=pd_tol)
+    got = report.gramian_ode
+    assert got.gramian.tobytes() == want.gramian.tobytes()
+    assert (got.horizon, got.method, got.positive_definite, got.min_pivot_or_eig) == (
+        want.horizon, want.method, want.positive_definite, want.min_pivot_or_eig)
+    assert report.route_discrepancy == observability._route_discrepancy(
+        report.gramian.gramian, want.gramian)
+
+
+def test_overflowing_cross_check_reads_none_without_failing_the_report(ode_calls):
+    # the RK4 steps of T/1000 overflow on the stiff table at T = 200, which
+    # the report records on read, not when it is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = certify_cardio(CardioParams(0.5, 0.5, 100.0), 200.0)
+        assert report.observable and ode_calls == []
+        assert (report.gramian_ode, report.route_discrepancy) == (None, None)
+    assert len(ode_calls) == 1
 
 
 def four_stage_rk4_gramian(m, horizon, steps):
