@@ -39,6 +39,8 @@ class CardioParams:
         mass: combined person + platform mass M in kg, positive and finite.
         damping: viscous damping beta in N s/m, nonnegative and finite.
         stiffness: spring stiffness gamma in N/m, finite.
+
+    gamma/M and beta/M, the entries of A, must be finite too.
     """
 
     mass: float
@@ -56,6 +58,9 @@ class CardioParams:
             raise ValueError(f"damping must be nonnegative and finite, got {self.damping}")
         if not math.isfinite(self.stiffness):
             raise ValueError(f"stiffness must be finite, got {self.stiffness}")
+        for name, value in (("stiffness", self.stiffness), ("damping", self.damping)):
+            if not math.isfinite(value / self.mass):
+                raise ValueError(f"{name} / mass must be finite, got {value} / {self.mass}")
 
 
 def build_cardio_model(p: CardioParams) -> StateSpaceModel:

@@ -309,39 +309,6 @@ def _rk4_pairings(s: int) -> np.ndarray:
     return pairs
 
 
-def _rk4_powered(ha: np.ndarray, hq: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps from W = 0 by binary powering of the one-step map,
-    for :func:`gramian_ode`, with ha = hA and hq = hQ.
-
-    In the notation of :func:`gramian_ode`, on row-major vec W one step is
-    vec W -> (I + D) vec W + g, with
-    hL = h (A^T kron I + I kron A^T), D = e4(hL) - I = hL phi(hL) and
-    g = phi(hL) vec(hQ).  So I + X with X = [[D, g], [0, 0]] is the step on
-    [vec W; 1], and the last column of (I + X)^steps - I is vec W after
-    ``steps`` steps.  Binary powering reaches it in increment form, which
-    never forms I + D, whose rounding would drop the bits of D below the
-    last place of 1 (Higham, 2008, 4.8): X <- X + X + X X doubles the step
-    count, and acc <- acc + X + acc X takes in each set bit of ``steps``
-    (Smith, 1968, doubles the same way).
-    """
-    n = len(ha)
-    at, eye, ident = ha.T, np.eye(n), np.eye(n * n)
-    # entry [(i, j), (k, l)] of hL is (hA^T)[i, k] [j = l] + [i = k] (hA^T)[j, l]
-    hl = (at[:, None, :, None] * eye[None, :, None, :]
-          + eye[:, None, :, None] * at[None, :, None, :]).reshape(n * n, n * n)
-    phi = hl @ (hl @ (hl / 24 + ident / 6) + ident / 2) + ident  # by Horner
-    x = np.zeros((n * n + 1, n * n + 1))
-    x[:-1, :-1], x[:-1, -1] = hl @ phi, phi @ hq.ravel()
-    acc = None
-    while True:
-        if steps & 1:
-            acc = x if acc is None else acc + x + acc @ x
-        steps >>= 1
-        if not steps:
-            return acc[:-1, -1].reshape(n, n)
-        x = x + x + x @ x
-
-
 def _rk4_blocks(ha: np.ndarray, hq: np.ndarray, steps: int) -> np.ndarray:
     """``steps`` RK4 steps from W = 0, ``s`` of them per pair of matrix
     products, for :func:`gramian_ode`, with ha = hA and hq = hQ.
@@ -424,37 +391,17 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     linear right-hand side L(W) + Q, one RK4 step is the polynomial
     W -> e4(hL) W + G with e4(z) = sum_{k<=4} z^k / k! and G = h phi(hL) Q,
     phi(z) = sum_{j<=3} z^j / (j+1)!: the same map as the four stages, in
-    another rounding order.  Two routes apply it ``steps`` times:
-
-    * powering (:func:`_rk4_powered`): the step as one (n^2 + 1)-square
-      matrix, raised to the power ``steps`` in about 2 log2(steps)
-      products, about 4 log2(steps) n^6 flops;
-    * blocks (:func:`_rk4_blocks`): s steps per pair of products of
-      n x n by n x (2s+1)n and n x (2s+1)n by (2s+1)n x n, about
-      8 steps n^3 flops.
-
-    Powering runs when its flop count is the smaller, taken as
-    n^3 log2(2 steps) <= 2 steps, which depends on (n, steps) alone: at
-    1000 steps it covers n <= 5, and blocks run from n = 6 (at n = 24 the
-    powered matrices would be 577-square).  Both give the RK4 iterate to
-    about 1e-13 relative.  When powering does not end finite, blocks run
-    instead: the powers of the step map can overflow in a mode that
-    C^T C does not excite (C = 0, or an unobservable growing mode over a
-    long horizon), and inf * 0 then makes W NaN although the steps stay
-    finite.  So only steps that overflow themselves fail.
+    another rounding order.  :func:`_rk4_blocks` applies it ``steps``
+    times, s steps per pair of products of n x n by n x (2s+1)n and
+    n x (2s+1)n by (2s+1)n x n, about 8 steps n^3 flops.
     """
     horizon = _check_horizon(horizon)
     steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    h, n = horizon / steps, m.n
+    h = horizon / steps
     with np.errstate(over="ignore", invalid="ignore"):
-        hq = h * (m.c.T @ m.c)
-        w = None
-        if n ** 3 * math.log2(2 * steps) <= 2 * steps:
-            w = _rk4_powered(h * m.a, hq, steps)
-        if w is None or not np.isfinite(w).all():
-            w = _rk4_blocks(h * m.a, hq, steps)
+        w = _rk4_blocks(h * m.a, h * (m.c.T @ m.c), steps)
     if not np.isfinite(w).all():  # a non-finite W stays non-finite
         raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
                              f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "

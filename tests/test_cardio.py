@@ -28,9 +28,15 @@ def test_params_validation():
     ("stiffness", np.inf, "stiffness must be finite, got inf"),
     ("stiffness", -np.inf, "stiffness must be finite, got -inf"),
     ("stiffness", np.nan, "stiffness must be finite, got nan"),
+    # each parameter is finite, but an entry of A, a ratio of two, is not
+    ("mass", 1e-320, "stiffness / mass must be finite, got 1.0 / 1e-320"),
+    pytest.param("mass damping", (1e-300, 1e10),
+                 "damping / mass must be finite, got 10000000000.0 / 1e-300",
+                 id="mass damping-1e-300 1e10"),
 ])
 def test_params_reject_non_finite(field, value, message):
-    params = {"mass": 1.0, "damping": 0.5, "stiffness": 1.0, field: value}
+    params = {"mass": 1.0, "damping": 0.5, "stiffness": 1.0}
+    params.update(zip(field.split(), np.atleast_1d(value)))
     with pytest.raises(ValueError, match=f"^{message}$"):
         CardioParams(**params)
 

@@ -396,10 +396,15 @@ def _numeric_failure(argv, capsys):
     ("--damping", "inf", "damping must be nonnegative and finite, got inf"),
     ("--stiffness", "inf", "stiffness must be finite, got inf"),
     ("--stiffness", "nan", "stiffness must be finite, got nan"),
+    # each parameter is finite, but an entry of A, a ratio of two, is not
+    ("--mass", "1e-320", "stiffness / mass must be finite, got 1.0 / 1e-320"),
+    ("--mass --damping", "1e-300 1e10",
+     "damping / mass must be finite, got 10000000000.0 / 1e-300"),
 ])
 def test_cardio_non_finite_parameter_is_an_error(capsys, flag, value, message):
     argv = ["cardio", "--mass", "1", "--damping", "0.5", "--stiffness", "1"]
-    argv[argv.index(flag) + 1] = value
+    for f, v in zip(flag.split(), value.split()):
+        argv[argv.index(f) + 1] = v
     err = _numeric_failure(argv, capsys)
     assert err == f"error: {message}\n"
 
