@@ -85,13 +85,7 @@ def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     human verdict to stderr; return the exit code."""
     report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
     _emit_doc(dump_report(report, model.name), out_path)
-    ode, horizon = report.gramian_ode, report.gramian.horizon
-    if ode is None or ode.positive_definite != report.gramian_observable:
-        what = (f"overflowed over [0, {horizon:g}] and was skipped" if ode is None else
-                f"disagrees with the doubling Gramian on definiteness over [0, {horizon:g}] "
-                f"(route discrepancy {report.route_discrepancy:.3e})")
-        _status(_style(f"warning: the lyapunov-ode cross-check {what}; "
-                       "the verdict rests on the rank test and the doubling Gramian", "yellow"))
+    horizon = report.gramian.horizon
     if not report.consistent:
         _status(_style(
             "warning: Kalman rank and Gramian verdicts disagree; "

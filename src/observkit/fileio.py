@@ -1,9 +1,9 @@
 """File formats: JSON model/report documents and CSV trace files.
 
 This module serializes and parses; it computes nothing it writes.  A
-report document holds the fields of the ``ObservabilityReport`` it is
-given, route discrepancy included; the report computes its RK4
-cross-check when ``dump_report`` first reads it.
+report document holds the verdicts and the doubling Gramian of the
+``ObservabilityReport`` it is given.  It leaves out the report's RK4
+cross-check, which no verdict reads, so writing a certificate runs no RK4.
 
 Every float is serialized with 17 significant digits so values round
 trip exactly, every other JSON scalar as ``json.dumps`` writes it, and
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from observkit.lti import StateSpaceModel, Trace, make_model, times_agree
-from observkit.observability import GramianResult, ObservabilityReport
+from observkit.observability import ObservabilityReport
 
 __all__ = [
     "ParseError",
@@ -337,31 +337,25 @@ def load_trace(path: str) -> Trace:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _gramian_doc(g: GramianResult) -> dict:
-    return {
-        "method": g.method,
-        "horizon": g.horizon,
-        "positive_definite": g.positive_definite,
-        "min_eigenvalue": g.min_pivot_or_eig,
-        "matrix": g.gramian.tolist(),
-    }
-
-
 def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
-    """Serialize an observability certificate, fixed key order.  A skipped
-    RK4 cross-check writes null for it and for the route discrepancy."""
+    """Serialize an observability certificate, fixed key order."""
+    g = report.gramian
     doc = {
         "model": model_name,
-        "horizon": report.gramian.horizon,
+        "horizon": g.horizon,
         "observable": report.observable,
         "kalman_rank": report.kalman_rank,
         "rank_required": report.rank_required,
         "kalman_observable": report.kalman_observable,
         "gramian_observable": report.gramian_observable,
         "consistent": report.consistent,
-        "gramian": _gramian_doc(report.gramian),
-        "gramian_ode": None if report.gramian_ode is None else _gramian_doc(report.gramian_ode),
-        "gramian_route_discrepancy": report.route_discrepancy,
+        "gramian": {
+            "method": g.method,
+            "horizon": g.horizon,
+            "positive_definite": g.positive_definite,
+            "min_eigenvalue": g.min_pivot_or_eig,
+            "matrix": g.gramian.tolist(),
+        },
     }
     return _emit(doc) + "\n"
 

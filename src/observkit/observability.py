@@ -8,10 +8,10 @@ Two tests of the same property:
   e^{A^T s} C^T C e^{A s} ds, positive definite exactly when observable.
   :func:`analyze` decides on the Gramian from :func:`gramian_doubling`
   (one Van Loan block exponential, then doubling up to T), which has no
-  discretisation.  :func:`gramian_ode`, RK4 integration of the
+  discretisation.  :func:`gramian_ode`, classical RK4 integration of the
   differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0,
-  is the independent cross-check, which the report computes when it is
-  first read.
+  is an independent reference that no verdict and no CLI certificate
+  reads; the report computes it only when a caller first reads it.
   Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
   route, on a grid the caller picks.
 
@@ -101,7 +101,10 @@ class ObservabilityReport:
     over the same horizon at the same ``pd_tol``, and its distance from
     ``gramian``, relative to ||gramian||_F (absolute when ``gramian`` is
     zero).  Both are None when the RK4 integration or that distance
-    overflows.  A caller that reads only the verdicts never runs RK4.
+    overflows.  A caller that reads only the verdicts never runs RK4, and
+    neither does the CLI, whose report document leaves both out; the
+    readers left are library callers, the tests and the benchmark's traced
+    runs.
     """
 
     kalman_rank: int
@@ -269,143 +272,39 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     return _finish_gramian(gram, horizon, "doubling", pd_tol)
 
 
-# Cap on the values of the powers and of each pairing matrix of one s-step RK4 block.
-_BLOCK_VALUES = 2 ** 13
-
-
-@functools.lru_cache(maxsize=None)
-def _rk4_pairings(s: int) -> np.ndarray:
-    """The pairing matrices of s RK4 steps for :func:`gramian_ode`, as one
-    2 x (2s + 1) x (4s + 1) array: the map (from delta) and the forcing
-    (from epsilon).  Entry [a, b] is d_{a+b} / (s^(a+b) a! b!) when b > a,
-    half of it when b = a, and 0 when b < a, for d = delta or epsilon, so
-    that the powers (s h A)^b need no scaling.  Every call shares them, so
-    they are read only.
-
-    u_i[k] = k! [z^k] e4(z)^i / s^k follows from u_{i-1} by the stencil
-    u_i[k] = sum_{j<=4} C(k, j) s^-j u_{i-1}[k - j] and lies in [0, 1];
-    epsilon_k / s^k is the stencil with weights 1/(j+1), j <= 3, on the sum
-    of u_i over i < s.  So no k! is formed, and nothing overflows.
-    """
-    size, inv_fact = 4 * s + 1, np.ones(4 * s + 1)
-    for b in range(1, size):
-        inv_fact[b] = inv_fact[b - 1] / b
-    binom = [np.array([math.comb(k, j) / s ** j for k in range(size)]) for j in range(5)]
-
-    def stencil(x, weights):  # sum_j weights[j] C(k, j) s^-j x[k - j]
-        return sum(wj * np.concatenate([np.zeros(j), binom[j][j:] * x[:size - j]])
-                   for j, wj in enumerate(weights))
-
-    u, v = np.eye(1, size)[0], np.zeros(size)  # e4^0, and the sum over i < s
-    for _ in range(s):
-        u, v = stencil(u, (1, 1, 1, 1, 1)), v + u
-    pairs = np.zeros((2, 2 * s + 1, size))
-    for pair, c in zip(pairs, (u, stencil(v, (1, 1 / 2, 1 / 3, 1 / 4)))):
-        for a in range(2 * s + 1):  # a <= b <= 4s - a, and half at b = a
-            pair[a, a:size - a] = c[2 * a:]
-            pair[a, a] /= 2
-    pairs *= inv_fact[:2 * s + 1, None] * inv_fact
-    pairs.setflags(write=False)
-    return pairs
-
-
-def _rk4_blocks(ha: np.ndarray, hq: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps from W = 0, ``s`` of them per pair of matrix
-    products, for :func:`gramian_ode`, with ha = hA and hq = hQ.
-
-    In the notation of :func:`gramian_ode`, s steps are
-    W -> e4(hL)^s W + G_s with G_s = h (sum_{j<s} e4(hL)^j) phi(hL) Q.  Here L(W) = A^T W + W A is a
-    left plus a right multiplication, which commute, so by the binomial
-    theorem a polynomial f(hL) is W -> sum_{a,b} d_{a+b} P_a^T W P_b with
-    P_a = (hA)^a / a! and d_k = k! [z^k] f(z): delta_k for e4^s, epsilon_k
-    for the forcing, both of degree 4s.  W and Q are symmetric, so the
-    (a, b) and (b, a) terms pair up, and s steps are W -> Y + Y^T + G_s with
-    Y = sum_{a<=2s} P_a^T W R_a, where R_a sums delta_{a+b} P_b over b > a
-    and half of delta_{2a} P_a; G_s pairs up the same way.  At s = 1,
-    R_0 = I/2 + P_1 + P_2 + P_3 + P_4, R_1 = P_1/2 + P_2 + P_3, R_2 = P_2/2.
-    The code takes the powers (s h A)^b, whose scale at most halves with b,
-    and folds s^-k and the factorials into the coefficients of R_a
-    (:func:`_rk4_pairings`), which leaves every term as it is.
-
-    s is the largest power of two within three limits:
-
-    * s^2 <= steps: the setup of a block grows with s and the step loop
-      shrinks as steps/s, and this balances the two;
-    * s ||hA||_1 <= 1/2, the scaling of
-      :func:`~observkit.linalg.expm_squarings`: each term P_a^T W P_b of
-      the degree-4s sum is then at most 2^-(a+b) / (a! b!) of W in size, so
-      the sum converges fast and no term cancels a much larger one (a stiff
-      model, whose single steps are long, runs s = 1);
-    * (4s + 1) max(n^2, 2s + 1) <= 2^13 values, the stack of powers and
-      each cached pairing matrix, so memory stays bounded at every n and
-      every step count (s <= 16, and n >= 31 runs s = 1).
-
-    The steps % s left over run as single steps (s = 1).
-
-    The factors are laid out as two n x (2s+1)n matrices,
-    right = [R_0 ... R_2s] and left with left[c, (2s+1)a + j] = (P_j^T)[c, a].
-    Row a of W @ right holds the rows a of every W R_j side by side, so the
-    same buffer read as (2s+1)n x n has row (2s+1)a + j equal to row a of
-    W R_j, and left times it is Y.  Each application is the two 2-D products
-    into buffers allocated once per block size, then W = Y^T + Y + G_s by a
-    transposed copy and two in-place additions.
-    """
-    n = len(ha)
-    w = np.zeros((n, n))
-    norm, block = np.linalg.norm(ha, 1), 1
-    while (4 * block * block <= steps and 2 * block * norm <= 0.5
-           and (8 * block + 1) * max(n * n, 4 * block + 1) <= _BLOCK_VALUES):
-        block *= 2
-    # blocks of s = block steps, then the steps % block left over one at a time
-    for s, count in [(block, steps // block)] + [(1, steps % block)] * (steps % block > 0):
-        p = np.empty((4 * s + 1, n, n))  # p[b] = (s h A)^b, by doubling
-        p[0], p[1], top = np.eye(n), s * ha, 1
-        while top < 4 * s:
-            k = min(top, 4 * s - top)
-            np.dot(p[1:k + 1].reshape(-1, n), p[top], out=p[top + 1:top + k + 1].reshape(-1, n))
-            top += k
-        right, forcing = ((c @ p.reshape(4 * s + 1, -1)).reshape(-1, n, n)
-                          .transpose(1, 0, 2).reshape(n, -1) for c in _rk4_pairings(s))
-        left = p[:2 * s + 1].transpose(2, 1, 0).reshape(n, -1)
-        y = left @ (hq @ forcing).reshape(-1, n)
-        g, wr = y + y.T, np.empty_like(right)
-        stack = wr.reshape(-1, n)
-        for _ in range(count):  # stack is wr read as (2s+1)n x n, so left @ stack = Y
-            np.dot(w, right, out=wr)
-            np.dot(left, stack, out=y)
-            w[...] = y.T  # a copy; an add with a transposed operand is slower
-            w += y
-            w += g
-    return w
-
-
 def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
                 pd_tol: float = DEFAULT_PD_TOL) -> GramianResult:
-    """Gramian by RK4 integration of dW/dt = A^T W + W A + C^T C from W(0) = 0.
+    """Gramian by ``steps`` classical four-stage RK4 steps of h = T/steps on
+    dW/dt = A^T W + W A + C^T C from W(0) = 0.
 
     This route shares no machinery with :func:`gramian_doubling` or
     :func:`gramian_quadrature`, so agreement with either is a real
-    cross-check.
-
-    The result is ``steps`` classical RK4 steps of size h = T/steps.  For a
-    linear right-hand side L(W) + Q, one RK4 step is the polynomial
-    W -> e4(hL) W + G with e4(z) = sum_{k<=4} z^k / k! and G = h phi(hL) Q,
-    phi(z) = sum_{j<=3} z^j / (j+1)!: the same map as the four stages, in
-    another rounding order.  :func:`_rk4_blocks` applies it ``steps``
-    times, s steps per pair of products of n x n by n x (2s+1)n and
-    n x (2s+1)n by (2s+1)n x n, about 8 steps n^3 flops.
+    cross-check.  It is a reference, not a fast path: each step is four
+    n x n products and about twenty-five numpy calls.
     """
     horizon = _check_horizon(horizon)
     steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     h = horizon / steps
+    w = np.zeros((m.n, m.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _rk4_blocks(h * m.a, h * (m.c.T @ m.c), steps)
-    if not np.isfinite(w).all():  # a non-finite W stays non-finite
-        raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
-                             f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps are "
-                             f"too long for this model or it grows too fast")
+        ha, hq = h * m.a, h * (m.c.T @ m.c)
+
+        def rate(v):  # h (A^T v + v A + C^T C), with A^T v = (v A)^T as v is symmetric
+            va = v @ ha
+            return va + va.T + hq
+
+        for _ in range(steps):
+            k1 = rate(w)
+            k2 = rate(w + 0.5 * k1)
+            k3 = rate(w + 0.5 * k2)
+            k4 = rate(w + k3)
+            w = w + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+            if not np.isfinite(w).all():
+                raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
+                                     f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps "
+                                     f"are too long for this model or it grows too fast")
     return _finish_gramian(w, horizon, "lyapunov-ode", pd_tol)
 
 

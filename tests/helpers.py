@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from observkit import observability
 from observkit.lti import StateSpaceModel, make_model
 
 
@@ -68,3 +69,17 @@ def unstable_saddle_model() -> tuple[StateSpaceModel, np.ndarray]:
     c, s = np.cos(0.3), np.sin(0.3)
     q = np.array([[c, -s], [s, c]])
     return make_model(q @ np.diag([50.0, -1.0]) @ q.T, [[0.0], [1.0]], [[1.0, 0.0]]), q
+
+
+@pytest.fixture
+def ode_calls(monkeypatch):
+    """Every call made to ``observability.gramian_ode`` through the module
+    name, as the report's cross-check makes it."""
+    calls, gramian_ode = [], observability.gramian_ode
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return gramian_ode(*args, **kwargs)
+
+    monkeypatch.setattr(observability, "gramian_ode", counted)
+    return calls
