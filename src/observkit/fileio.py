@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def _require_matrix(doc: dict, key: str, path: str) -> list:
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ParseError(f"{path}: '{key}'[{i}][{j}] is not a number")
-            if not math.isfinite(x):
+            if not abs(x) <= sys.float_info.max:  # NaN, inf or an int past the float range
                 raise ParseError(f"{path}: '{key}'[{i}][{j}] is not finite")
     return value
 

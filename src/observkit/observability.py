@@ -11,7 +11,8 @@ Two tests of the same property:
   discretisation.  :func:`gramian_ode`, classical RK4 integration of the
   differential Lyapunov equation dW/dt = A^T W + W A + C^T C, W(0) = 0,
   is an independent reference that no verdict and no CLI certificate
-  reads; the report computes it only when a caller first reads it.
+  reads; a report computes it only when a caller reads its
+  ``gramian_ode``.
   Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
   route, on a grid the caller picks.
 
@@ -27,7 +28,6 @@ response first, which leaves the free output of x0.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,16 +95,12 @@ class ObservabilityReport:
     false when the rank and Gramian verdicts disagree, which signals a
     tolerance problem rather than a property of the model.
 
-    ``gramian_ode`` and ``route_discrepancy`` are the independent
-    Lyapunov-ODE cross-check, which no verdict depends on.  The report
-    computes them on the first read of either, once: :func:`gramian_ode`
-    over the same horizon at the same ``pd_tol``, and its distance from
-    ``gramian``, relative to ||gramian||_F (absolute when ``gramian`` is
-    zero).  Both are None when the RK4 integration or that distance
-    overflows.  A caller that reads only the verdicts never runs RK4, and
-    neither does the CLI, whose report document leaves both out; the
-    readers left are library callers, the tests and the benchmark's traced
-    runs.
+    ``gramian_ode`` is the independent Lyapunov-ODE cross-check, which no
+    verdict depends on: :func:`gramian_ode` over the same horizon at the
+    same ``pd_tol``, computed on the first read and kept.  Reading it
+    raises that routine's ``NonFiniteError`` when the RK4 steps overflow;
+    the verdicts stand either way.  A caller that reads only the verdicts
+    never runs RK4, and neither does the CLI.
     """
 
     kalman_rank: int
@@ -124,22 +120,10 @@ class ObservabilityReport:
     # cached_property stores into the instance __dict__ directly, which the
     # frozen dataclass's __setattr__ does not guard
     @functools.cached_property
-    def _cross_check(self) -> tuple[GramianResult | None, float | None]:
-        try:
-            ode = gramian_ode(self._model, self.gramian.horizon, pd_tol=self._pd_tol)
-            return ode, _route_discrepancy(self.gramian.gramian, ode.gramian)
-        except (NonFiniteError, OverflowError):
-            return None, None
-
-    @property
-    def gramian_ode(self) -> GramianResult | None:
-        """The RK4 Lyapunov-ODE Gramian, or None when it overflowed."""
-        return self._cross_check[0]
-
-    @property
-    def route_discrepancy(self) -> float | None:
-        """Distance of ``gramian_ode`` from ``gramian``, or None when either overflowed."""
-        return self._cross_check[1]
+    def gramian_ode(self) -> GramianResult:
+        """:func:`gramian_ode` at the report's horizon and ``pd_tol``; raises
+        its ``NonFiniteError`` when the RK4 steps overflow."""
+        return gramian_ode(self._model, self.gramian.horizon, pd_tol=self._pd_tol)
 
 
 def observability_matrix(m: StateSpaceModel) -> np.ndarray:
@@ -401,24 +385,6 @@ def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = N
             min_singular_value=exc.min_singular_value) from None
 
 
-def _route_discrepancy(ref: np.ndarray, other: np.ndarray) -> float:
-    """||ref - other||_F / ||ref||_F, or ||ref - other||_F when ref = 0.
-
-    Each norm is taken of its matrix times 2^-e, e from ``math.frexp`` of its
-    largest |entry| (for the difference, of both matrices, scaled before
-    subtracting), and the quotient is scaled back.  Powers of two scale
-    exactly, so no square in the norms overflows, and every result that is
-    finite unscaled keeps its bits (Blue, ACM TOMS 1978).
-
-    Raises:
-        OverflowError: the result exceeds the float range.
-    """
-    e, e_ref = (math.frexp(np.abs(x).max())[1] for x in ((ref, other), ref))
-    num = np.linalg.norm(np.ldexp(ref, -e) - np.ldexp(other, -e))
-    den = np.linalg.norm(np.ldexp(ref, -e_ref))
-    return math.ldexp(num / den if den else num, e - e_ref)  # ref = 0: e_ref = 0
-
-
 def analyze(m: StateSpaceModel, horizon: float,
             rank_tol: float | None = None,
             pd_tol: float = DEFAULT_PD_TOL) -> ObservabilityReport:
@@ -429,8 +395,7 @@ def analyze(m: StateSpaceModel, horizon: float,
     :func:`gramian_doubling`, which has no discretisation to tune.
     ``consistent`` compares the rank verdict with the Gramian verdict.  The
     report keeps ``m`` and ``pd_tol`` for its :func:`gramian_ode`
-    cross-check, which it computes only when ``gramian_ode`` or
-    ``route_discrepancy`` is first read.
+    cross-check, which it computes only when ``gramian_ode`` is first read.
     """
     r, kalman_observable = rank_test(m, rank_tol)
     gram = gramian_doubling(m, horizon, pd_tol)

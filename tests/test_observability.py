@@ -12,7 +12,6 @@ from helpers import (  # noqa: F401  (ode_calls is a fixture)
     random_unobservable_model,
     unstable_saddle_model,
 )
-from observkit import observability
 from observkit.cardio import CardioParams, build_cardio_model, certify_cardio
 from observkit.linalg import (
     DEFAULT_PD_TOL,
@@ -273,14 +272,15 @@ def test_gramian_ode_instability_names_the_stage():
             gramian_ode(m, 200.0)
 
 
-def test_analyze_skips_an_overflowing_ode_cross_check():
+def test_analyze_skips_an_overflowing_ode_cross_check(ode_calls):
     # the same RK4 overflow leaves the certificate to the rank test and
-    # the doubling Gramian, which is the finite diag(100, 0.5)
+    # the doubling Gramian, which is the finite diag(100, 0.5); analyze
+    # runs no RK4 step
     m = table_model(mass=0.5, damping=0.5, stiffness=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = analyze(m, 200.0)
-    assert report.gramian_ode is None and report.route_discrepancy is None
+    assert ode_calls == []
     assert report.observable and report.consistent
     np.testing.assert_allclose(report.gramian.gramian, np.diag([100.0, 0.5]), atol=1e-12)
 
@@ -297,8 +297,9 @@ def test_ode_cross_check_survives_powers_that_overflow_in_an_unexcited_mode(a, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = analyze(m, 1000.0)
+        ode, want = report.gramian_ode.gramian, report.gramian.gramian
         assert report.gramian_ode.method == "lyapunov-ode"
-        assert report.route_discrepancy <= 1e-12
+        assert np.linalg.norm(ode - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_verdicts_run_no_rk4_cross_check(ode_calls):
@@ -312,9 +313,9 @@ def test_verdicts_run_no_rk4_cross_check(ode_calls):
 def test_cross_check_runs_once_on_first_read(ode_calls):
     report = analyze(table_model(), 1.0)
     assert ode_calls == []
-    ode, discrepancy = report.gramian_ode, report.route_discrepancy
+    ode = report.gramian_ode
     assert len(ode_calls) == 1
-    assert report.route_discrepancy == discrepancy and report.gramian_ode is ode
+    assert report.gramian_ode is ode
     assert len(ode_calls) == 1
 
 
@@ -330,19 +331,24 @@ def test_lazy_cross_check_is_the_eager_one(m, horizon, pd_tol):
     assert got.gramian.tobytes() == want.gramian.tobytes()
     assert (got.horizon, got.method, got.positive_definite, got.min_pivot_or_eig) == (
         want.horizon, want.method, want.positive_definite, want.min_pivot_or_eig)
-    assert report.route_discrepancy == observability._route_discrepancy(
-        report.gramian.gramian, want.gramian)
 
 
-def test_overflowing_cross_check_reads_none_without_failing_the_report(ode_calls):
-    # the RK4 steps of T/1000 overflow on the stiff table at T = 200, which
-    # the report records on read, not when it is built
+def test_overflowing_cross_check_raises_on_read_and_leaves_the_verdicts(ode_calls):
+    # the RK4 steps of T/1000 overflow on the stiff table at T = 200.  The
+    # certificate (the rank test and the finite doubling Gramian
+    # diag(100, 0.5)) runs none of them; reading the cross-check raises,
+    # and the verdicts stand
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = certify_cardio(CardioParams(0.5, 0.5, 100.0), 200.0)
-        assert report.observable and ode_calls == []
-        assert (report.gramian_ode, report.route_discrepancy) == (None, None)
+        assert ode_calls == []
+        verdicts = (report.kalman_rank, report.observable, report.consistent)
+        assert verdicts == (2, True, True)
+        np.testing.assert_allclose(report.gramian.gramian, np.diag([100.0, 0.5]), atol=1e-12)
+        with pytest.raises(NonFiniteError, match=r"^lyapunov-ode: .*\[0, 200\]"):
+            report.gramian_ode
     assert len(ode_calls) == 1
+    assert (report.kalman_rank, report.observable, report.consistent) == verdicts
 
 
 @pytest.mark.parametrize("m", [

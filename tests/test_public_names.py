@@ -1,23 +1,31 @@
 """Every name the package exports, and every name the benchmark's span
 recorder wraps, must resolve: the recorder looks them up by name on the
-module namespaces listed in ``perfbench/spans.py``."""
+module namespaces listed in ``perfbench/spans.py``.  The report attributes
+that recorder reads must be there too."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
 import observkit
+from observkit.cardio import CardioParams, build_cardio_model
+from observkit.observability import analyze
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _call_sites() -> list[tuple[str, str]]:
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, name) for module, names in spans.CALL_SITES.items()
+    return spans
+
+
+def _call_sites() -> list[tuple[str, str]]:
+    return [(module, name) for module, names in _spans().CALL_SITES.items()
             for name in names]
 
 
@@ -29,3 +37,10 @@ def test_span_call_site_resolves(module, name):
 @pytest.mark.parametrize("name", observkit.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(observkit, name)
+
+
+def test_span_attributes_read_the_report():
+    # every traced analyze span reads the report's RK4 cross-check
+    table = build_cardio_model(CardioParams(1.0, 0.5, 2.0))
+    consistent, discrepancy = _spans()._report_attrs((), {}, analyze(table, 1.0)).values()
+    assert consistent is True and math.isfinite(discrepancy) and discrepancy < 1e-9
