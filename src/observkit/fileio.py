@@ -18,8 +18,11 @@ Trace file:      header "t,v1,...,vw", one comma-separated row per sample,
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import re
 import sys
 
 import numpy as np
@@ -266,6 +269,86 @@ def _write_rows(fh, table: np.ndarray) -> None:
         fh.write(text[text != 0])
 
 
+def _header_width(line: str) -> int:
+    """The number of value columns a "t,v1,...,vw" header names, or 0 when
+    ``line`` is not such a header."""
+    fields = [f.strip() for f in line.split(",")]
+    return len(fields) - 1 if len(fields) >= 2 and fields[0] == "t" else 0
+
+
+def _grid_fault(times: np.ndarray) -> tuple[int, str] | None:
+    """The first sample whose time breaks the uniform grid, and why; None
+    when every step is positive and agrees with the first."""
+    steps = np.diff(times)
+    off = ~times_agree(steps, steps[0], steps[0], times[0], times[-1])
+    bad = np.flatnonzero(off | (steps <= 0))
+    if not bad.size:
+        return None
+    k = int(bad[0])  # step k ends at sample k + 1
+    # past the first step, a step off the grid keeps the non-uniform
+    # message even when it is not positive
+    return k + 1, ("time column must be strictly increasing" if not (k and off[k]) else
+                   f"non-uniform time step {float(steps[k])!r}, expected {float(steps[0])!r}")
+
+
+def _grid_trace(table: np.ndarray) -> Trace:
+    """The trace of a table whose time column passed :func:`_grid_fault`,
+    with the mean step, since one step carries the rounding of two times.
+
+    Raises:
+        ValueError: the mean step's grid breaks ``Trace``'s rule.
+    """
+    return Trace(table[0, 0], (table[-1, 0] - table[0, 0]) / (len(table) - 1), table[:, 1:])
+
+
+# str.splitlines also ends a line at these ASCII bytes; numpy's reader does not
+_LINE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# numpy opens a path with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_NON_SPACE = re.compile(rb"\S")
+
+
+def _read_trace(path: str, data: bytes) -> Trace | None:
+    """The trace in the file at ``path``, whose bytes are ``data``, with
+    numpy's reader parsing its data rows from the path; None when the file
+    must go through the line route, which then gives the trace or the
+    error.
+
+    numpy opens the path as ``open`` does, in text mode, so this read gives
+    the table the line route gives, or none.  It declines a file whose
+    line 1 is not the header, one whose lines could split otherwise than
+    ``splitlines`` splits them (bytes past ASCII, or the control
+    characters of ``_LINE_BREAKS``), and a path that numpy would not open
+    again as the same plain local file: a compressed suffix, a scheme and
+    host (``://``), which it would fetch as a URL, or anything but a
+    regular file, such as a pipe the first read emptied.  numpy refuses by
+    itself, with ``ValueError``, a whitespace-only line, which the line
+    route skips.  A file with no data row is not handed to numpy, which
+    warns on it.  Every table that fails a check is declined, so that the
+    line route names the line at fault.
+    """
+    end = data.find(b"\n")
+    if end < 0 or not data.isascii() or any(c in data for c in _LINE_BREAKS):
+        return None
+    if (not isinstance(path, str) or path.endswith(_COMPRESSED) or "://" in path
+            or not os.path.isfile(path)):
+        return None
+    width = _header_width(data[:end].decode())
+    if not width or not _NON_SPACE.search(data, end):
+        return None
+    try:
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+    except (OSError, ValueError):  # OSError: the file went away since it was read
+        return None
+    if (table.shape[0] < 2 or table.shape[1] != width + 1 or not np.isfinite(table).all()
+            or _grid_fault(table[:, 0])):
+        return None
+    try:
+        return _grid_trace(table)
+    except ValueError:
+        return None
+
+
 def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
@@ -277,14 +360,28 @@ def load_trace(path: str) -> Trace:
     required, since a single row cannot determine the time step.  Blank
     lines are skipped, and fields may carry surrounding spaces.
 
+    Two routes read the file and give the same trace.  When line 1 is the
+    header and the file is plain ASCII, numpy's reader parses the data rows
+    straight from the file.  Every file that read declines, or whose table
+    fails a check, takes the line route: it decodes the bytes as ``open``
+    would, skips whitespace-only lines and names the line of each error.
+
     Raises:
         ParseError: with the offending line number.
     """
     try:
-        with open(path) as fh:
-            raw_lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read trace file: {exc}") from None
+    trace = _read_trace(path, data)
+    return trace if trace is not None else _parse_trace_lines(path, data)
+
+
+def _parse_trace_lines(path: str, data: bytes) -> Trace:
+    """:func:`load_trace`'s line route: the trace in ``data``, or a
+    ``ParseError`` naming the file line at fault."""
+    raw_lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
     rows = [line for line in raw_lines if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty trace file")
@@ -305,10 +402,9 @@ def load_trace(path: str) -> Trace:
             if not all(math.isfinite(x) for x in row):
                 raise fail(k, "non-finite value")
 
-    fields = [f.strip() for f in rows[0].split(",")]
-    if len(fields) < 2 or fields[0] != "t":
+    width = _header_width(rows[0])
+    if not width:
         raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
-    width = len(fields) - 1
     if len(rows) < 3:
         check_fields()
         raise ParseError(f"{path}: need at least two samples to infer the "
@@ -323,17 +419,11 @@ def load_trace(path: str) -> Trace:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
-    steps = np.diff(table[:, 0])
-    off = ~times_agree(steps, steps[0], steps[0], table[0, 0], table[-1, 0])
-    bad = np.flatnonzero(off | (steps <= 0))
-    if bad.size:  # step k ends at sample k + 1, which is rows[k + 2]
-        k = int(bad[0])
-        # past the first step, a step off the grid keeps the non-uniform
-        # message even when it is not positive
-        raise fail(k + 2, "time column must be strictly increasing" if not (k and off[k]) else
-                   f"non-uniform time step {float(steps[k])!r}, expected {float(steps[0])!r}")
-    try:  # the mean step, since one step carries the rounding of two times
-        return Trace(table[0, 0], (table[-1, 0] - table[0, 0]) / steps.size, table[:, 1:])
+    fault = _grid_fault(table[:, 0])
+    if fault:  # sample k is rows[k + 1]
+        raise fail(fault[0] + 1, fault[1])
+    try:
+        return _grid_trace(table)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

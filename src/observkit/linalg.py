@@ -48,6 +48,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"{name} is ragged or non-numeric: {exc}") from None
+    except OverflowError:  # a Python int past the float range
+        raise NonFiniteError(f"{name} contains an entry past the float range") from None
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
@@ -61,6 +63,8 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         arr = np.array(values, dtype=float).ravel()
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"{name} is ragged or non-numeric: {exc}") from None
+    except OverflowError:  # a Python int past the float range
+        raise NonFiniteError(f"{name} contains an entry past the float range") from None
     if arr.size and not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr

@@ -1,7 +1,14 @@
+import bz2
+import gzip
 import json
+import lzma
 import math
+import os
+import re
+import urllib.request
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from hypothesis import strategies as st
 from observkit.fileio import (
     _CHUNK_VALUES,
     ParseError,
+    _read_trace,
     dump_model,
     dump_report,
     dump_vector_doc,
@@ -334,6 +342,170 @@ def test_load_trace_reports_offending_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v1\n0,1\n0.1,2\n0.2,x\n")
     with pytest.raises(ParseError, match="line 4"):
+        load_trace(str(path))
+
+
+def _reference_load(path):
+    """t0, dt and samples as the line route reads a file it accepts: numpy
+    parses the non-blank lines after the header, and dt is the mean step."""
+    with open(path) as fh:
+        rows = [line for line in fh.read().splitlines() if line.strip()]
+    table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    return table[0, 0], (table[-1, 0] - table[0, 0]) / (len(table) - 1), table[:, 1:]
+
+
+_magnitudes = st.floats(1e-300, 1e300)
+_values = (st.builds(lambda x, sign: sign * x, _magnitudes, st.sampled_from([1.0, -1.0]))
+           | st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_grids(), count=st.integers(2, 20), width=st.integers(1, 3), spaced=st.booleans(),
+       crlf=st.booleans(), blank_after=st.sets(st.integers(0, 20)),
+       whitespace_after=st.none() | st.integers(0, 20), data=st.data())
+def test_both_trace_routes_read_what_the_line_route_reads(tmp_path_factory, grid, count, width,
+                                                          spaced, crlf, blank_after,
+                                                          whitespace_after, data):
+    values = data.draw(st.lists(_values, min_size=count * width, max_size=count * width))
+    try:
+        trace = Trace(*grid, np.reshape(values, (count, width)))
+    except ValueError:
+        assume(False)
+    path = tmp_path_factory.mktemp("routes") / "trace.csv"
+    save_trace(trace, str(path))
+    lines = path.read_text().splitlines()
+    if spaced:
+        lines = [" " + line.replace(",", " ,  ") + "\t" for line in lines]
+    # empty lines, and maybe one whitespace-only line, after line k
+    out = []
+    for k, line in enumerate(lines):
+        out += [line] + [""] * (k in blank_after) + [" \t "] * (k == whitespace_after)
+    path.write_bytes(("\r\n" if crlf else "\n").join(out).encode() + b"\n")
+
+    back = load_trace(str(path))
+    t0, dt, samples = _reference_load(str(path))
+    assert (back.t0, back.dt) == (t0, dt)
+    assert back.samples.tobytes() == samples.tobytes() == trace.samples.tobytes()
+    # a whitespace-only line is the line route's to skip; numpy's read takes the rest
+    line_route = whitespace_after is not None and whitespace_after < len(lines)
+    assert (_read_trace(str(path), path.read_bytes()) is None) == line_route
+
+
+def test_load_trace_loads_a_crlf_trace(tmp_path):
+    trace = Trace(-2.5, 0.125, np.random.default_rng(8).standard_normal((50, 2)))
+    path = tmp_path / "crlf.csv"
+    save_trace(trace, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for name in (str(path), path):  # a path object, as open() takes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_trace(name)
+        assert (back.t0, back.dt) == (trace.t0, trace.dt)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+
+
+def test_load_trace_keeps_the_bytes_of_a_file_removed_after_its_first_read(tmp_path,
+                                                                          monkeypatch):
+    # numpy's reader opens the path again; when the file is gone by then,
+    # the trace comes from the bytes already read
+    trace = Trace(0.0, 0.5, [[1.0], [2.0], [3.0]])
+    path = tmp_path / "trace.csv"
+    save_trace(trace, str(path))
+    loadtxt = np.loadtxt
+
+    def remove_then_load(fname, *args, **kwargs):
+        if isinstance(fname, str):  # the line route passes its lines
+            os.remove(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", remove_then_load)
+    assert load_trace(str(path)).samples.tobytes() == trace.samples.tobytes()
+    assert not path.exists()
+
+
+def test_load_trace_short_files_keep_their_messages_and_warn_nothing(tmp_path):
+    cases = {"t,v1\n": 0, "t,v1\n\n\n": 0, "t,v1\r\n\r\n": 0, " t , v1 ": 0,
+             "t,v1\n0,1\n": 1, "t,v1\n\n0,1\n\n": 1, "t,v1\r\n0,1": 1}
+    for text, rows in cases.items():
+        path = tmp_path / "short.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: need at least two "
+                                                 f"samples to infer the time step, got {rows}$"):
+                load_trace(str(path))
+
+
+@pytest.mark.parametrize("suffix, compress", [(".gz", gzip.compress), (".bz2", bz2.compress),
+                                              (".xz", lzma.compress),
+                                              (".lzma", partial(lzma.compress,
+                                                                format=lzma.FORMAT_ALONE))])
+def test_load_trace_reads_a_compressed_file_as_text(tmp_path, suffix, compress):
+    # numpy's reader would decompress a path with this suffix; load_trace
+    # reads the bytes as open() does: a plain trace so named loads, and a
+    # compressed one fails as its text does
+    trace = Trace(0.0, 0.5, [[1.0], [2.0], [3.0]])
+    path = tmp_path / ("trace.csv" + suffix)
+    save_trace(trace, str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_trace(str(path)).samples.tobytes() == trace.samples.tobytes()
+    path.write_bytes(compress(path.read_bytes()))
+    with pytest.raises(ValueError) as as_text:
+        with open(path) as fh:
+            fh.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
+            load_trace(str(path))
+
+
+def test_load_trace_reads_a_url_like_path_as_a_local_file(tmp_path, monkeypatch):
+    # numpy's reader would fetch a path with a scheme and a host as a URL
+    def no_url(*args, **kwargs):
+        raise AssertionError("load_trace opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_url)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "example.org").mkdir(parents=True)
+    trace = Trace(0.0, 0.5, [[1.0], [2.0], [3.0]])
+    save_trace(trace, str(tmp_path / "http:" / "example.org" / "trace.csv"))
+    back = load_trace("http://example.org/trace.csv")
+    assert back.samples.tobytes() == trace.samples.tobytes()
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_trace_reads_a_pipe_once(tmp_path):
+    # the first read empties the pipe, so opening its path again would read
+    # no data: numpy's reader would warn, and the trace must not depend on it
+    trace = Trace(0.0, 0.5, [[1.0], [2.0], [3.0]])
+    save_trace(trace, str(tmp_path / "trace.csv"))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "trace.csv").read_bytes())
+        os.close(write_end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_trace(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert back.samples.tobytes() == trace.samples.tobytes()
+
+def test_load_trace_breaks_lines_where_splitlines_does(tmp_path):
+    # numpy's reader takes these characters for spaces inside a field, and
+    # accepts "0 \f,1" as the row (0, 1); str.splitlines ends the line there
+    path = tmp_path / "breaks.csv"
+    for char in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        path.write_text(f"t,v1\n0 {char},1\n0.5,2\n1,3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: expected 2 fields, got 1"):
+            load_trace(str(path))
+    # and bytes that are not text fail as open() fails on them
+    path.write_bytes(b"t,v1\n0,1\xa0\n0.5,2\n1,3\n")
+    with pytest.raises(ValueError) as as_text:
+        with open(path) as fh:
+            fh.read()
+    with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
         load_trace(str(path))
 
 

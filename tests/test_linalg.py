@@ -31,6 +31,16 @@ def test_as_matrix_rejects_ragged_and_nonfinite():
         as_vector([np.inf, 0.0])
 
 
+
+def test_as_matrix_and_as_vector_reject_an_int_past_the_float_range():
+    # numpy's conversion raises OverflowError; the package's own error
+    # names the argument, as it does for NaN
+    for big in (10**400, -(10**400)):
+        with pytest.raises(NonFiniteError, match="^m contains an entry past the float range"):
+            as_matrix([[1.0, big]], "m")
+        with pytest.raises(NonFiniteError, match="^v contains an entry past the float range"):
+            as_vector([big, 0.0], "v")
+
 def test_as_count_accepts_whole_numbers_only():
     for value in (3, np.int64(3), 3.0, np.float32(3.0), -2, 0.0):
         got = as_count(value, "steps")

@@ -41,6 +41,14 @@ def test_make_model_rejects_bad_shapes():
         make_model(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
 
 
+
+def test_make_model_and_simulate_free_reject_an_int_past_the_float_range():
+    for a, b, c in (([[10**400]], [[1]], [[1]]), ([[1]], [[1]], [[-(10**400)]])):
+        with pytest.raises(NonFiniteError, match="past the float range"):
+            make_model(a, b, c)
+    with pytest.raises(NonFiniteError, match="^x0 contains an entry past the float range"):
+        simulate_free(oscillator(), [10**400, 0], dt=0.1, steps=3)
+
 def test_model_arrays_are_read_only():
     m = oscillator()
     with pytest.raises(ValueError):
