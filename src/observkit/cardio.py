@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from observkit.linalg import as_float
 from observkit.lti import StateSpaceModel, make_model
 from observkit.observability import ObservabilityReport, analyze
 
@@ -48,9 +49,8 @@ class CardioParams:
     stiffness: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "damping", float(self.damping))
-        object.__setattr__(self, "stiffness", float(self.stiffness))
+        for name in ("mass", "damping", "stiffness"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         # an infinite mass would zero -gamma/M and so certify the wrong table
         if not 0 < self.mass < math.inf:  # also false for NaN
             raise ValueError(f"mass must be positive and finite, got {self.mass}")

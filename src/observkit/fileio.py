@@ -105,7 +105,7 @@ def load_model(path: str) -> StateSpaceModel:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read model file: {exc}") from None
     try:
         doc = json.loads(text)
@@ -367,7 +367,8 @@ def load_trace(path: str) -> Trace:
     would, skips whitespace-only lines and names the line of each error.
 
     Raises:
-        ParseError: with the offending line number.
+        ParseError: with the offending line number, or naming the file
+            when it cannot be read or decoded as ``open`` would.
     """
     try:
         with open(path, "rb") as fh:
@@ -381,7 +382,10 @@ def load_trace(path: str) -> Trace:
 def _parse_trace_lines(path: str, data: bytes) -> Trace:
     """:func:`load_trace`'s line route: the trace in ``data``, or a
     ``ParseError`` naming the file line at fault."""
-    raw_lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+    try:
+        raw_lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot read trace file: {exc}") from None
     rows = [line for line in raw_lines if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty trace file")

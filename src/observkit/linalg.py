@@ -1,7 +1,9 @@
 """Dense real-matrix kernels used by the rest of the package.
 
-All matrices are plain 2-D ``numpy.float64`` arrays; :func:`as_matrix` is
-the validating constructor (rejects ragged input and non-finite entries).
+All matrices are plain 2-D ``numpy.float64`` arrays.  One conversion body
+turns a caller's values into a finite float array or a named error;
+:func:`as_matrix`, :func:`as_vector` and :func:`solve`'s right-hand side
+go through it, and :func:`as_square` is the one square rule.
 Everything here is a pure function, so the module is safe to use from
 multiple threads.
 """
@@ -42,32 +44,47 @@ class SingularMatrixError(ValueError):
         self.min_singular_value = min_singular_value
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Copy ``values`` into a validated 2-D float array."""
+def _as_array(values, name: str) -> np.ndarray:
+    """Copy ``values`` into a finite float array, or raise an error naming ``name``."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"{name} is ragged or non-numeric: {exc}") from None
     except OverflowError:  # a Python int past the float range
         raise NonFiniteError(f"{name} contains an entry past the float range") from None
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_matrix(values, name: str = "matrix") -> np.ndarray:
+    """Copy ``values`` into a validated 2-D float array."""
+    arr = _as_array(values, name)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_square(values, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix` of a square matrix."""
+    arr = as_matrix(values, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ShapeMismatchError(f"{name} must be square, got {arr.shape[0]}x{arr.shape[1]}")
     return arr
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Copy ``values`` into a validated 1-D float array."""
+    return _as_array(values, name).ravel()
+
+
+def as_float(value) -> float:
+    """``float(value)``, except that an int past the float range reads as the
+    infinity of its sign, for the caller's finiteness rule to refuse."""
     try:
-        arr = np.array(values, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatchError(f"{name} is ragged or non-numeric: {exc}") from None
-    except OverflowError:  # a Python int past the float range
-        raise NonFiniteError(f"{name} contains an entry past the float range") from None
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return arr
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def as_count(value, name: str) -> int:
@@ -108,10 +125,8 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     undone by repeated squaring.  The result is always nonsingular since
     det(exp(At)) = exp(t*trace(A)) > 0.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"matrix exponential needs a square matrix, got {a.shape}")
-    t = float(t)
+    a = as_square(a)
+    t = as_float(t)
     if not np.isfinite(t):
         raise NonFiniteError("time must be finite")
     squarings = expm_squarings(a, t, "expm")
@@ -136,8 +151,7 @@ def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, 
     """Singular values of ``m``, largest first, and the relative threshold
     they are judged by: ``rel_tol``, by default machine epsilon times the
     larger dimension (at least 1), which must be positive and finite."""
-    if rel_tol is None:
-        rel_tol = EPS * max(*m.shape, 1)
+    rel_tol = EPS * max(*m.shape, 1) if rel_tol is None else as_float(rel_tol)
     if not 0 < rel_tol < np.inf:  # also false for NaN
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol
@@ -171,6 +185,7 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
     diagonal magnitude.  ``tol`` must be finite and nonnegative.
     """
+    tol = as_float(tol)
     if not 0 <= tol < np.inf:  # also false for NaN
         raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
     sym = symmetrize(m)
@@ -184,9 +199,7 @@ def is_positive_definite(m, tol: float = DEFAULT_PD_TOL) -> bool:
     Symmetrizing first matters since matrices that are symmetric only to
     rounding are the common case.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"definiteness test needs a square matrix, got {m.shape}")
+    m = as_square(m)
     return m.size > 0 and definiteness(m, tol)[1]
 
 
@@ -201,17 +214,13 @@ def solve(m, rhs) -> tuple[np.ndarray, float]:
     when the smallest singular value is at most the largest times the
     default tolerance of :func:`rank`, machine epsilon times the dimension.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"solve needs a square matrix, got {m.shape}")
-    rhs_arr = np.array(rhs, dtype=float)
+    m = as_square(m)
+    rhs_arr = _as_array(rhs, "right-hand side")
     if rhs_arr.ndim not in (1, 2):
         raise ShapeMismatchError(f"right-hand side must be 1-D or 2-D, got shape {rhs_arr.shape}")
     if rhs_arr.shape[0] != m.shape[0]:
         raise ShapeMismatchError(
             f"right-hand side has {rhs_arr.shape[0]} rows, matrix is {m.shape[0]}x{m.shape[1]}")
-    if rhs_arr.size and not np.isfinite(rhs_arr).all():
-        raise NonFiniteError("right-hand side contains non-finite entries")
     s, rel_tol = _singular_values(m, None)
     smax = float(s[0]) if s.size else 0.0
     smin = float(s[-1]) if s.size else 0.0

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from observkit.linalg import (NonFiniteError, ShapeMismatchError, as_count, as_matrix,
-                              as_vector, expm)
+from observkit.linalg import (NonFiniteError, ShapeMismatchError, as_count, as_float,
+                              as_matrix, as_square, as_vector, expm)
 
 __all__ = [
     "StateSpaceModel",
@@ -97,7 +97,7 @@ class Trace:
     samples: np.ndarray
 
     def __post_init__(self):
-        t0, dt = float(self.t0), float(self.dt)
+        t0, dt = as_float(self.t0), as_float(self.dt)
         if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
             raise ValueError(f"t0 must be finite and dt finite and positive, got {t0}, {dt}")
         samples = as_matrix(self.samples, "samples")
@@ -142,12 +142,10 @@ def make_model(a, b, c, name: str = "") -> StateSpaceModel:
         ShapeMismatchError: naming the offending matrix and the
             expected shape.
     """
-    a = as_matrix(a, "a")
+    a = as_square(a, "a")
     b = as_matrix(b, "b")
     c = as_matrix(c, "c")
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeMismatchError(f"a must be square, got {a.shape[0]}x{a.shape[1]}")
     if n == 0:
         raise ShapeMismatchError("a must be at least 1x1")
     if b.shape[0] != n or b.shape[1] < 1:
@@ -230,7 +228,7 @@ def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
     augmented block matrix [[A, B], [0, 0]] * dt, whose top row blocks
     are exactly A_d and B_d.
     """
-    a = as_matrix(a, "a")
+    a = as_square(a, "a")
     b = as_matrix(b, "b")
     n, p = a.shape[0], b.shape[1]
     big = expm(np.block([[a, b], [np.zeros((p, n + p))]]), dt)

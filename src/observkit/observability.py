@@ -38,6 +38,7 @@ from observkit.linalg import (
     ShapeMismatchError,
     SingularMatrixError,
     as_count,
+    as_float,
     definiteness,
     expm,
     expm_squarings,
@@ -151,7 +152,7 @@ def rank_test(m: StateSpaceModel, rel_tol: float | None = None) -> tuple[int, bo
 
 
 def _check_horizon(horizon: float) -> float:
-    horizon = float(horizon)
+    horizon = as_float(horizon)
     if not np.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be a positive time, got {horizon}")
     return horizon

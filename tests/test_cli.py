@@ -134,6 +134,18 @@ def test_analyze_integer_past_the_float_range(tmp_path, capsys):
     assert err == f"error: {path}: 'a'[0][0] is not finite\n"
 
 
+def test_files_that_are_not_text_are_errors_naming_the_file(tmp_path, capsys):
+    model = tmp_path / "bad.json"
+    model.write_bytes(b"\xff{}")
+    err = _numeric_failure(["analyze", "--model", str(model)], capsys)
+    assert err.startswith(f"error: {model}: cannot read model file: ")
+    trace = tmp_path / "packed_y.csv.gz"
+    trace.write_bytes(b"\x1f\x8b\x08\x00")
+    err = _numeric_failure(["reconstruct", "--model", cardio_model_file(tmp_path),
+                            str(trace)], capsys)
+    assert err.startswith(f"error: {trace}: cannot read trace file: ")
+
+
 def test_simulate_free_velocity_output(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path, stiffness=1.0)
     prefix = str(tmp_path / "sim")

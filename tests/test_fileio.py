@@ -443,7 +443,7 @@ def test_load_trace_short_files_keep_their_messages_and_warn_nothing(tmp_path):
 def test_load_trace_reads_a_compressed_file_as_text(tmp_path, suffix, compress):
     # numpy's reader would decompress a path with this suffix; load_trace
     # reads the bytes as open() does: a plain trace so named loads, and a
-    # compressed one fails as its text does
+    # compressed one is a ParseError naming the file and open()'s error
     trace = Trace(0.0, 0.5, [[1.0], [2.0], [3.0]])
     path = tmp_path / ("trace.csv" + suffix)
     save_trace(trace, str(path))
@@ -456,7 +456,8 @@ def test_load_trace_reads_a_compressed_file_as_text(tmp_path, suffix, compress):
             fh.read()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: cannot read trace file: {as_text.value}")):
             load_trace(str(path))
 
 
@@ -500,12 +501,14 @@ def test_load_trace_breaks_lines_where_splitlines_does(tmp_path):
         path.write_text(f"t,v1\n0 {char},1\n0.5,2\n1,3\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: expected 2 fields, got 1"):
             load_trace(str(path))
-    # and bytes that are not text fail as open() fails on them
+    # and bytes that are not text are a ParseError naming the file and
+    # the error open() gives on them
     path.write_bytes(b"t,v1\n0,1\xa0\n0.5,2\n1,3\n")
     with pytest.raises(ValueError) as as_text:
         with open(path) as fh:
             fh.read()
-    with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: cannot read trace file: {as_text.value}")):
         load_trace(str(path))
 
 
@@ -616,3 +619,15 @@ def test_documents_reject_non_finite_numbers():
             dump_vector_doc("x0", np.array([1.0, bad]))
         with pytest.raises(ValueError, match="non-finite"):
             dump_vector_doc("x0", np.zeros(2), {"gramian_condition": bad})
+
+
+def test_load_model_names_a_file_that_is_not_text(tmp_path):
+    # 0xff starts no UTF-8 sequence
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError) as as_text:
+        with open(path) as fh:
+            fh.read()
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: cannot read model file: {as_text.value}")):
+        load_model(str(path))

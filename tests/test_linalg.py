@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,11 @@ from observkit.linalg import (
     rank,
     solve,
 )
+from observkit.cardio import CardioParams
+from observkit.lti import Trace, make_model, simulate_free, zoh_discretize
+from observkit.observability import analyze, gramian_ode
+
+TABLE = make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], [[0.0, 1.0]])
 
 
 def test_as_matrix_rejects_ragged_and_nonfinite():
@@ -40,6 +46,52 @@ def test_as_matrix_and_as_vector_reject_an_int_past_the_float_range():
             as_matrix([[1.0, big]], "m")
         with pytest.raises(NonFiniteError, match="^v contains an entry past the float range"):
             as_vector([big, 0.0], "v")
+
+
+# each site reads an int past the float range as the infinity of its sign
+# and refuses it with the message it gives that infinity ({} is "inf" or
+# "-inf"), not a bare OverflowError
+@pytest.mark.parametrize("call, message", [
+    (lambda x: expm(np.eye(2), x), "time must be finite"),
+    (lambda x: zoh_discretize(TABLE.a, TABLE.b, x), "time must be finite"),
+    (lambda x: Trace(x, 1.0, [[1.0], [2.0]]),
+     "t0 must be finite and dt finite and positive, got {}, 1.0"),
+    (lambda x: Trace(0.0, x, [[1.0], [2.0]]),
+     "t0 must be finite and dt finite and positive, got 0.0, {}"),
+    (lambda x: simulate_free(TABLE, [1.0, 0.0], dt=x, steps=3),
+     "t0 must be finite and dt finite and positive, got 0.0, {}"),
+    (lambda x: analyze(TABLE, x), "horizon must be a positive time, got {}"),
+    (lambda x: gramian_ode(TABLE, x), "horizon must be a positive time, got {}"),
+    (lambda x: CardioParams(x, 0.5, 2.0), "mass must be positive and finite, got {}"),
+    (lambda x: CardioParams(1.0, x, 2.0), "damping must be nonnegative and finite, got {}"),
+    (lambda x: CardioParams(1.0, 0.5, x), "stiffness must be finite, got {}"),
+    (lambda x: rank(np.eye(2), x), "rel_tol must be positive and finite, got {}"),
+    (lambda x: analyze(TABLE, 1.0, pd_tol=x),
+     "definiteness tolerance must be finite and nonnegative, got {}"),
+    (lambda x: is_positive_definite(np.eye(2), x),
+     "definiteness tolerance must be finite and nonnegative, got {}"),
+    (lambda x: solve(np.eye(1), [x]), "right-hand side contains an entry past the float range"),
+], ids=["expm-t", "zoh_discretize-dt", "Trace-t0", "Trace-dt", "simulate_free-dt",
+        "analyze-horizon", "gramian_ode-horizon", "CardioParams-mass", "CardioParams-damping",
+        "CardioParams-stiffness", "rank-rel_tol", "analyze-pd_tol", "is_positive_definite-tol",
+        "solve-rhs"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+def test_scalars_past_the_float_range_raise_the_sites_message(call, message, sign):
+    inf = "inf" if sign > 0 else "-inf"
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(inf)) + "$"):
+        call(sign * 10**400)
+
+
+def test_square_rule_names_the_shape():
+    for call in (expm, lambda m: solve(m, [1.0, 2.0]), is_positive_definite):
+        with pytest.raises(ShapeMismatchError, match="^matrix must be square, got 2x3$"):
+            call(np.ones((2, 3)))
+
+
+def test_solve_rejects_a_ragged_right_hand_side():
+    with pytest.raises(ShapeMismatchError, match="^right-hand side is ragged or non-numeric"):
+        solve(np.eye(2), [[1.0, 2.0], [3.0]])
+
 
 def test_as_count_accepts_whole_numbers_only():
     for value in (3, np.int64(3), 3.0, np.float32(3.0), -2, 0.0):
