@@ -50,7 +50,7 @@ class CardioParams:
 
     def __post_init__(self):
         for name in ("mass", "damping", "stiffness"):
-            object.__setattr__(self, name, as_float(getattr(self, name)))
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         # an infinite mass would zero -gamma/M and so certify the wrong table
         if not 0 < self.mass < math.inf:  # also false for NaN
             raise ValueError(f"mass must be positive and finite, got {self.mass}")

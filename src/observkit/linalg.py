@@ -3,12 +3,17 @@
 All matrices are plain 2-D ``numpy.float64`` arrays.  One conversion body
 turns a caller's values into a finite float array or a named error;
 :func:`as_matrix`, :func:`as_vector` and :func:`solve`'s right-hand side
-go through it, and :func:`as_square` is the one square rule.
+go through it, and :func:`as_square` is the one square rule.  The matrix
+exponential has one body, :func:`expm_kernel`: :func:`expm` validates its
+arguments and calls it, and so does ``observability.gramian_doubling`` on
+a block it has built from a validated model.
 Everything here is a pure function, so the module is safe to use from
 multiple threads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,13 +83,16 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return _as_array(values, name).ravel()
 
 
-def as_float(value) -> float:
+def as_float(value, name: str) -> float:
     """``float(value)``, except that an int past the float range reads as the
-    infinity of its sign, for the caller's finiteness rule to refuse."""
+    infinity of its sign, for the caller's finiteness rule to refuse, and
+    that a value ``float()`` cannot take raises ``ValueError`` naming ``name``."""
     try:
         return float(value)
     except OverflowError:
         return np.inf if value > 0 else -np.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def as_count(value, name: str) -> int:
@@ -105,16 +113,17 @@ _PADE6 = (479001600.0, 239500800.0, 54432000.0, 7257600.0,
 
 def expm_squarings(a: np.ndarray, t: float, stage: str) -> int:
     """Smallest s >= 0 with ||a t||_1 / 2^s <= 1/2, the scaling at which
-    :func:`expm` evaluates its Pade approximant.
+    :func:`expm` evaluates its Pade approximant.  The caller runs it under
+    ``np.errstate(over="ignore", invalid="ignore")``; the norm is the
+    expression ``np.linalg.norm(a * t, 1)`` evaluates, to the bit.
 
     Raises:
         NonFiniteError: ||a t||_1 overflows; the message names ``stage``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(a * t, 1) / 0.5 if a.size else 0.0
-    if not np.isfinite(scale):
+    scale = float(np.abs(a * t).sum(axis=0).max()) / 0.5 if a.size else 0.0
+    if not math.isfinite(scale):
         raise NonFiniteError(f"{stage}: A t is too large to scale at t = {t:.6g}")
-    return int(np.ceil(np.log2(scale))) if scale > 1 else 0
+    return math.ceil(np.log2(scale)) if scale > 1 else 0
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
@@ -126,10 +135,22 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     det(exp(At)) = exp(t*trace(A)) > 0.
     """
     a = as_square(a)
-    t = as_float(t)
+    t = as_float(t, "time")
     if not np.isfinite(t):
         raise NonFiniteError("time must be finite")
-    squarings = expm_squarings(a, t, "expm")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return expm_kernel(a, t, expm_squarings(a, t, "expm"))
+
+
+def expm_kernel(a: np.ndarray, t: float, squarings: int) -> np.ndarray:
+    """The kernel of :func:`expm` on a square float array and a finite
+    ``t`` already checked: the Pade approximant of exp(a t / 2^squarings),
+    squared ``squarings`` times.  The caller runs it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Raises:
+        NonFiniteError: the result is not finite.
+    """
     x = np.ldexp(a * t, -squarings)
     eye = np.eye(x.shape[0])
     c = _PADE6
@@ -138,9 +159,8 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x2 @ x4)
     odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
     f = np.linalg.solve(even - odd, even + odd)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            f = f @ f
+    for _ in range(squarings):
+        f = f @ f
     if not np.isfinite(f).all():
         raise NonFiniteError(f"expm: exp(A t) is not finite at t = {t:.6g} "
                              f"after {squarings} squarings")
@@ -151,7 +171,7 @@ def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, 
     """Singular values of ``m``, largest first, and the relative threshold
     they are judged by: ``rel_tol``, by default machine epsilon times the
     larger dimension (at least 1), which must be positive and finite."""
-    rel_tol = EPS * max(*m.shape, 1) if rel_tol is None else as_float(rel_tol)
+    rel_tol = EPS * max(*m.shape, 1) if rel_tol is None else as_float(rel_tol, "rel_tol")
     if not 0 < rel_tol < np.inf:  # also false for NaN
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol
@@ -185,12 +205,12 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
     diagonal magnitude.  ``tol`` must be finite and nonnegative.
     """
-    tol = as_float(tol)
+    tol = as_float(tol, "definiteness tolerance")
     if not 0 <= tol < np.inf:  # also false for NaN
         raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
     sym = symmetrize(m)
     smallest = float(np.linalg.eigvalsh(sym)[0])
-    return sym, smallest > tol * float(np.max(np.abs(np.diag(sym)))), smallest
+    return sym, smallest > tol * float(np.abs(sym.diagonal()).max()), smallest
 
 
 def is_positive_definite(m, tol: float = DEFAULT_PD_TOL) -> bool:

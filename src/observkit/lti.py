@@ -97,7 +97,7 @@ class Trace:
     samples: np.ndarray
 
     def __post_init__(self):
-        t0, dt = as_float(self.t0), as_float(self.dt)
+        t0, dt = as_float(self.t0, "t0"), as_float(self.dt, "dt")
         if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
             raise ValueError(f"t0 must be finite and dt finite and positive, got {t0}, {dt}")
         samples = as_matrix(self.samples, "samples")
@@ -148,15 +148,21 @@ def make_model(a, b, c, name: str = "") -> StateSpaceModel:
     n = a.shape[0]
     if n == 0:
         raise ShapeMismatchError("a must be at least 1x1")
-    if b.shape[0] != n or b.shape[1] < 1:
-        raise ShapeMismatchError(
-            f"b must be {n}xp with p >= 1 to match a, got {b.shape[0]}x{b.shape[1]}")
+    _check_input_matrix(b, n)
     if c.shape[1] != n or c.shape[0] < 1:
         raise ShapeMismatchError(
             f"c must be qx{n} with q >= 1 to match a, got {c.shape[0]}x{c.shape[1]}")
     for m in (a, b, c):
         m.setflags(write=False)
     return StateSpaceModel(a=a, b=b, c=c, name=str(name))
+
+
+def _check_input_matrix(b: np.ndarray, n: int) -> None:
+    """Refuse an input matrix ``b`` that is not n x p with p >= 1, the
+    shape that matches an n x n ``a``."""
+    if b.shape[0] != n or b.shape[1] < 1:
+        raise ShapeMismatchError(
+            f"b must be {n}xp with p >= 1 to match a, got {b.shape[0]}x{b.shape[1]}")
 
 
 def transition_matrix(m: StateSpaceModel, t: float) -> np.ndarray:
@@ -227,10 +233,15 @@ def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
     held constant over the step.  Both come from one exponential of the
     augmented block matrix [[A, B], [0, 0]] * dt, whose top row blocks
     are exactly A_d and B_d.
+
+    Raises:
+        ShapeMismatchError: ``a`` is not square or ``b`` is not n x p
+            with p >= 1, worded as :func:`make_model` words it.
     """
     a = as_square(a, "a")
     b = as_matrix(b, "b")
     n, p = a.shape[0], b.shape[1]
+    _check_input_matrix(b, n)
     big = expm(np.block([[a, b], [np.zeros((p, n + p))]]), dt)
     return big[:n, :n], big[:n, n:]
 

@@ -28,6 +28,7 @@ response first, which leaves the free output of x0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from observkit.linalg import (
     as_float,
     definiteness,
     expm,
+    expm_kernel,
     expm_squarings,
     is_positive_definite,  # noqa: F401  (perfbench/spans.py wraps it on this module)
     rank,
@@ -137,7 +139,7 @@ def observability_matrix(m: StateSpaceModel) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(m.n - 1):
             blocks.append(m.a.T @ blocks[-1])
-    obs = np.hstack(blocks)
+    obs = np.concatenate(blocks, axis=1)
     if not np.isfinite(obs).all():
         k = int(np.flatnonzero(~np.isfinite(obs).all(axis=0))[0]) // m.q
         raise NonFiniteError(f"kalman-rank: the block (A^T)^{k} C^T overflows; "
@@ -152,8 +154,8 @@ def rank_test(m: StateSpaceModel, rel_tol: float | None = None) -> tuple[int, bo
 
 
 def _check_horizon(horizon: float) -> float:
-    horizon = as_float(horizon)
-    if not np.isfinite(horizon) or horizon <= 0:
+    horizon = as_float(horizon, "horizon")
+    if not 0 < horizon < np.inf:  # also false for NaN
         raise ValueError(f"horizon must be a positive time, got {horizon}")
     return horizon
 
@@ -229,25 +231,29 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     1978).  Since M(0, 2t) = M(0, t) + Phi(t)^T M(0, t) Phi(t) and
     Phi(2t) = Phi(t)^2, k doublings reach M(0, T) (Smith, 1968).  k is the
     smallest count with ||A||_1 t <= 1/2, the scaling :func:`expm` uses,
-    so the work follows from (A, T) and no grid is chosen.
+    so the work follows from (A, T) and no grid is chosen.  The block is
+    built from the validated model and a checked C^T C, so it goes to
+    :func:`~observkit.linalg.expm_kernel` directly, with no second copy
+    or finiteness scan.
 
     Raises:
         ValueError: nonpositive horizon.
         NonFiniteError: C^T C or the Gramian overflows over [0, T].
     """
     horizon = _check_horizon(horizon)
-    k = expm_squarings(m.a, horizon, "doubling")
     with np.errstate(over="ignore", invalid="ignore"):
+        k = expm_squarings(m.a, horizon, "doubling")
         ctc = m.c.T @ m.c
-    if not np.isfinite(ctc).all():
-        raise NonFiniteError(f"doubling: C^T C overflows; C has an entry of magnitude "
-                             f"{np.abs(m.c).max():.6g}")
-    block = np.zeros((2 * m.n, 2 * m.n))
-    block[:m.n, :m.n], block[:m.n, m.n:], block[m.n:, m.n:] = -m.a.T, ctc, m.a
-    f = expm(block, np.ldexp(horizon, -k))
-    phi = f[m.n:, m.n:]
-    gram = phi.T @ f[:m.n, m.n:]
-    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(ctc).all():
+            raise NonFiniteError(f"doubling: C^T C overflows; C has an entry of magnitude "
+                                 f"{np.abs(m.c).max():.6g}")
+        n = m.n
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n], block[:n, n:], block[n:, n:] = -m.a.T, ctc, m.a
+        t = math.ldexp(horizon, -k)
+        f = expm_kernel(block, t, expm_squarings(block, t, "expm"))
+        phi = f[n:, n:]
+        gram = phi.T @ f[:n, n:]
         for _ in range(k if gram.any() else 0):  # C = 0: stays 0; inf * 0 would be NaN
             gram = gram + phi.T @ gram @ phi
             phi = phi @ phi

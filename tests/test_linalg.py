@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from observkit.linalg import (
     NonFiniteError,
@@ -15,6 +16,7 @@ from observkit.linalg import (
     as_vector,
     definiteness,
     expm,
+    expm_squarings,
     is_positive_definite,
     rank,
     solve,
@@ -48,38 +50,66 @@ def test_as_matrix_and_as_vector_reject_an_int_past_the_float_range():
             as_vector([big, 0.0], "v")
 
 
+# Every scalar a caller passes: its id, the message its finiteness rule
+# gives an infinity ({} is "inf" or "-inf"), and the name it gives a
+# non-number.
+SCALAR_SITES = [
+    ("expm-t", lambda x: expm(np.eye(2), x), "time must be finite", "time"),
+    ("zoh_discretize-dt", lambda x: zoh_discretize(TABLE.a, TABLE.b, x),
+     "time must be finite", "time"),
+    ("Trace-t0", lambda x: Trace(x, 1.0, [[1.0], [2.0]]),
+     "t0 must be finite and dt finite and positive, got {}, 1.0", "t0"),
+    ("Trace-dt", lambda x: Trace(0.0, x, [[1.0], [2.0]]),
+     "t0 must be finite and dt finite and positive, got 0.0, {}", "dt"),
+    ("simulate_free-dt", lambda x: simulate_free(TABLE, [1.0, 0.0], dt=x, steps=3),
+     "t0 must be finite and dt finite and positive, got 0.0, {}", "dt"),
+    ("analyze-horizon", lambda x: analyze(TABLE, x),
+     "horizon must be a positive time, got {}", "horizon"),
+    ("gramian_ode-horizon", lambda x: gramian_ode(TABLE, x),
+     "horizon must be a positive time, got {}", "horizon"),
+    ("CardioParams-mass", lambda x: CardioParams(x, 0.5, 2.0),
+     "mass must be positive and finite, got {}", "mass"),
+    ("CardioParams-damping", lambda x: CardioParams(1.0, x, 2.0),
+     "damping must be nonnegative and finite, got {}", "damping"),
+    ("CardioParams-stiffness", lambda x: CardioParams(1.0, 0.5, x),
+     "stiffness must be finite, got {}", "stiffness"),
+    ("rank-rel_tol", lambda x: rank(np.eye(2), x),
+     "rel_tol must be positive and finite, got {}", "rel_tol"),
+    ("analyze-pd_tol", lambda x: analyze(TABLE, 1.0, pd_tol=x),
+     "definiteness tolerance must be finite and nonnegative, got {}", "definiteness tolerance"),
+    ("is_positive_definite-tol", lambda x: is_positive_definite(np.eye(2), x),
+     "definiteness tolerance must be finite and nonnegative, got {}", "definiteness tolerance"),
+]
+
+
 # each site reads an int past the float range as the infinity of its sign
-# and refuses it with the message it gives that infinity ({} is "inf" or
-# "-inf"), not a bare OverflowError
+# and refuses it with the message it gives that infinity, not a bare
+# OverflowError
 @pytest.mark.parametrize("call, message", [
-    (lambda x: expm(np.eye(2), x), "time must be finite"),
-    (lambda x: zoh_discretize(TABLE.a, TABLE.b, x), "time must be finite"),
-    (lambda x: Trace(x, 1.0, [[1.0], [2.0]]),
-     "t0 must be finite and dt finite and positive, got {}, 1.0"),
-    (lambda x: Trace(0.0, x, [[1.0], [2.0]]),
-     "t0 must be finite and dt finite and positive, got 0.0, {}"),
-    (lambda x: simulate_free(TABLE, [1.0, 0.0], dt=x, steps=3),
-     "t0 must be finite and dt finite and positive, got 0.0, {}"),
-    (lambda x: analyze(TABLE, x), "horizon must be a positive time, got {}"),
-    (lambda x: gramian_ode(TABLE, x), "horizon must be a positive time, got {}"),
-    (lambda x: CardioParams(x, 0.5, 2.0), "mass must be positive and finite, got {}"),
-    (lambda x: CardioParams(1.0, x, 2.0), "damping must be nonnegative and finite, got {}"),
-    (lambda x: CardioParams(1.0, 0.5, x), "stiffness must be finite, got {}"),
-    (lambda x: rank(np.eye(2), x), "rel_tol must be positive and finite, got {}"),
-    (lambda x: analyze(TABLE, 1.0, pd_tol=x),
-     "definiteness tolerance must be finite and nonnegative, got {}"),
-    (lambda x: is_positive_definite(np.eye(2), x),
-     "definiteness tolerance must be finite and nonnegative, got {}"),
-    (lambda x: solve(np.eye(1), [x]), "right-hand side contains an entry past the float range"),
-], ids=["expm-t", "zoh_discretize-dt", "Trace-t0", "Trace-dt", "simulate_free-dt",
-        "analyze-horizon", "gramian_ode-horizon", "CardioParams-mass", "CardioParams-damping",
-        "CardioParams-stiffness", "rank-rel_tol", "analyze-pd_tol", "is_positive_definite-tol",
-        "solve-rhs"])
+    *(pytest.param(call, message, id=site) for site, call, message, _ in SCALAR_SITES),
+    pytest.param(lambda x: solve(np.eye(1), [x]),
+                 "right-hand side contains an entry past the float range", id="solve-rhs"),
+])
 @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
 def test_scalars_past_the_float_range_raise_the_sites_message(call, message, sign):
     inf = "inf" if sign > 0 else "-inf"
     with pytest.raises(ValueError, match="^" + re.escape(message.format(inf)) + "$"):
         call(sign * 10**400)
+
+
+# a value float() cannot take is a ValueError naming the parameter, not a
+# bare TypeError or float()'s own message
+@pytest.mark.parametrize("call, name, value, shown", [
+    pytest.param(call, name, value, shown, id=f"{value_id}-{site}")
+    for value, shown, value_id in ((None, "None", "None"), ("x", "'x'", "str"),
+                                   ([1.0], "[1.0]", "list"))
+    for site, call, _, name in SCALAR_SITES
+    if not (value is None and site == "rank-rel_tol")  # None selects rank's default
+])
+def test_non_numeric_scalars_raise_a_named_error(call, name, value, shown):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a number, got {shown}")
+                       + "$"):
+        call(value)
 
 
 def test_square_rule_names_the_shape():
@@ -183,6 +213,24 @@ def test_expm_overflow_raises_non_finite_error():
             expm([[0.0, 1.0], [-2.0, -0.5]], 1e308)
         with pytest.raises(NonFiniteError, match="expm: exp.* is not finite"):
             expm([[1e-300]], 1e308)
+
+
+FLOATS = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: arrays(np.float64, (n, n), elements=FLOATS)), FLOATS)
+def test_expm_squarings_takes_numpys_one_norm(a, t):
+    # the scaling count is the one np.linalg.norm(a * t, 1) gives, and an
+    # overflowing norm is the same NonFiniteError, also past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(a * t, 1) / 0.5 if a.size else 0.0
+        if not np.isfinite(scale):
+            with pytest.raises(NonFiniteError, match="^" + re.escape(
+                    f"stage: A t is too large to scale at t = {t:.6g}") + "$"):
+                expm_squarings(a, t, "stage")
+            return
+        assert expm_squarings(a, t, "stage") == (int(np.ceil(np.log2(scale))) if scale > 1 else 0)
 
 
 def test_rank_examples():

@@ -39,6 +39,9 @@ def test_make_model_rejects_bad_shapes():
         make_model(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(ShapeMismatchError, match="c must be qx2"):
         make_model(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
+    # zoh_discretize refuses b in make_model's words, not np.block's
+    with pytest.raises(ShapeMismatchError, match=r"^b must be 2xp with p >= 1 to match a, got 3x1$"):
+        zoh_discretize(np.eye(2), np.ones((3, 1)), 0.1)
 
 
 

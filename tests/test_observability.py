@@ -17,6 +17,7 @@ from observkit.linalg import (
     DEFAULT_PD_TOL,
     NonFiniteError,
     ShapeMismatchError,
+    expm,
     is_positive_definite,
     rank,
 )
@@ -188,6 +189,39 @@ def test_gramian_doubling_matches_oracle():
         assert (g.method, g.horizon) == ("doubling", horizon)
         want = oracle_gramian(m, horizon)
         assert np.linalg.norm(g.gramian - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def doubling_reference(m, horizon):
+    """gramian_doubling spelled out with the public expm: k halvings of T
+    bring ||A||_1 t to 1/2, the Van Loan block gives M(0, t), k doublings
+    reach M(0, T), and the result is symmetrized as m/2 + m.T/2."""
+    scale = np.linalg.norm(m.a * horizon, 1) / 0.5
+    k = int(np.ceil(np.log2(scale))) if scale > 1 else 0
+    n = m.n
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, n:] = -m.a.T, m.c.T @ m.c, m.a
+    f = expm(block, np.ldexp(horizon, -k))
+    phi, gram = f[n:, n:], f[n:, n:].T @ f[:n, n:]
+    for _ in range(k if gram.any() else 0):
+        gram = gram + phi.T @ gram @ phi
+        phi = phi @ phi
+    return 0.5 * gram + 0.5 * gram.T
+
+
+def test_gramian_doubling_is_the_public_expm_then_doubling():
+    # the doubling route hands its block to expm's kernel unchecked; its
+    # Gramian keeps the bits of the route through the validating expm
+    models = [build_cardio_model(CardioParams(mass, damping, stiffness))
+              for mass in (0.5, 1.0, 10.0) for damping in (0.0, 0.5, 5.0)
+              for stiffness in (0.0, 0.1, 1.0, 100.0)]
+    rng = np.random.default_rng(27)
+    for n in (2, 4, 8, 12, 16, 24):
+        models += [random_observable_model(rng, n), random_unobservable_model(rng, n)[0]]
+    assert len(models) == 48
+    for m in models:
+        for horizon in (1.0, 7.0):
+            got = gramian_doubling(m, horizon).gramian
+            assert np.array_equal(got, doubling_reference(m, horizon))
 
 
 def test_gramian_doubling_keeps_invisible_directions_exactly_zero():
