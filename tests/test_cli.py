@@ -1,5 +1,8 @@
+import gc
+import importlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import observkit
 from helpers import ode_calls  # noqa: F401  (a fixture)
 from observkit.cardio import CardioParams, build_cardio_model
 from observkit.cli import _style, build_parser, main
@@ -574,10 +578,35 @@ def test_style_honors_no_color(monkeypatch):
     assert _style("hi", "green") == "hi"
 
 
-def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "observkit", "cardio", "--mass", "1",
-         "--stiffness", "1", "--out", str(tmp_path / "m.json")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["observable"] is True
+@pytest.mark.parametrize("flags, code", [
+    (["--stiffness", "1"], 0),
+    (["--stiffness", "1", "--no-such-flag"], 1),
+    (["--stiffness", "0"], 2),
+], ids=["observable", "usage-error", "unobservable"])
+def test_module_entry_point(tmp_path, monkeypatch, capsys, flags, code):
+    # python -m observkit prints, writes and exits exactly as main() does
+    argv = ["cardio", "--mass", "1", *flags, "--out", "m.json"]
+    child, in_process = tmp_path / "child", tmp_path / "in_process"
+    child.mkdir()
+    in_process.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(observkit.__file__))))
+    env.pop("PYTHONUNBUFFERED", None)  # the exit's flush delivers stdout
+    proc = subprocess.run([sys.executable, "-m", "observkit", *argv], cwd=child,
+                          env=env, capture_output=True, text=True)
+    monkeypatch.chdir(in_process)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    written = {p.name: p.read_bytes() for p in child.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in in_process.iterdir()}
+    assert bool(written) == (code != 1)
+
+
+def test_in_process_calls_leave_the_collector_unfrozen(capsys):
+    # only the process entry freezes the heap; a library caller keeps its own
+    frozen = gc.get_freeze_count()
+    assert main(["cardio", "--mass", "1", "--stiffness", "1"]) == 0
+    importlib.import_module("observkit.__main__")
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
