@@ -23,17 +23,15 @@ does not involve B either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from observkit.linalg import as_float
-from observkit.lti import StateSpaceModel, make_model
+from observkit.lti import Record, StateSpaceModel, make_model
 from observkit.observability import ObservabilityReport, analyze
 
 __all__ = ["CardioParams", "build_cardio_model", "certify_cardio"]
 
 
-@dataclass(frozen=True)
-class CardioParams:
+class CardioParams(Record):
     """Physical parameters of the table.
 
     Attributes:
@@ -44,13 +42,11 @@ class CardioParams:
     gamma/M and beta/M, the entries of A, must be finite too.
     """
 
-    mass: float
-    damping: float
-    stiffness: float
+    _fields = ("mass", "damping", "stiffness")
 
-    def __post_init__(self):
-        for name in ("mass", "damping", "stiffness"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
+    def __init__(self, mass: float, damping: float, stiffness: float):
+        self._set(mass=as_float(mass, "mass"), damping=as_float(damping, "damping"),
+                  stiffness=as_float(stiffness, "stiffness"))
         # an infinite mass would zero -gamma/M and so certify the wrong table
         if not 0 < self.mass < math.inf:  # also false for NaN
             raise ValueError(f"mass must be positive and finite, got {self.mass}")

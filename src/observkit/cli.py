@@ -217,7 +217,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # usage, parse and numeric errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,8 +13,6 @@ to matrix-exponential accuracy.  Every grid recurrence runs on :func:`propagate`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from observkit.linalg import (NonFiniteError, ShapeMismatchError, as_count, as_float,
@@ -30,14 +28,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateSpaceModel:
+class Record:
+    """Base of the package's immutable records.
+
+    ``__init__`` stores the attributes once with :meth:`_set`; setting or
+    deleting one afterwards raises ``AttributeError``.  ``repr``, ``==``
+    and ``hash`` read the attributes named in ``_fields``, in order: two
+    records are equal when they are of the same class and those values
+    are, and a record that holds an array is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class StateSpaceModel(Record):
     """Validated (A, B, C) triple.  Use :func:`make_model` to construct."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    name: str = ""
+    _fields = ("a", "b", "c", "name")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, name: str = ""):
+        self._set(a=a, b=b, c=c, name=name)
 
     @property
     def n(self) -> int:
@@ -75,8 +109,7 @@ def times_agree(a, b, length, *times):
     return np.abs(np.subtract(a, b)) <= GRID_RTOL * length + 8 * np.spacing(np.max(np.abs(times)))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Uniformly sampled vector signal.
 
     Row ``k`` of ``samples`` is the signal value at time ``t0 + k*dt``.
@@ -92,19 +125,15 @@ class Trace:
             that breaks the rule.
     """
 
-    t0: float
-    dt: float
-    samples: np.ndarray
+    _fields = ("t0", "dt", "samples")
 
-    def __post_init__(self):
-        t0, dt = as_float(self.t0, "t0"), as_float(self.dt, "dt")
+    def __init__(self, t0: float, dt: float, samples: np.ndarray):
+        t0, dt = as_float(t0, "t0"), as_float(dt, "dt")
         if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
             raise ValueError(f"t0 must be finite and dt finite and positive, got {t0}, {dt}")
-        samples = as_matrix(self.samples, "samples")
+        samples = as_matrix(samples, "samples")
         samples.setflags(write=False)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "samples", samples)
+        self._set(t0=t0, dt=dt, samples=samples)
         with np.errstate(over="ignore"):  # an infinite time is reported below
             times = self.times
         ok = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from observkit.linalg import (
     solve,
     symmetrize,
 )
-from observkit.lti import StateSpaceModel, Trace, propagate, simulate_forced, times_agree
+from observkit.lti import Record, StateSpaceModel, Trace, propagate, simulate_forced, times_agree
 
 __all__ = [
     "GramianResult",
@@ -71,8 +70,7 @@ class SingularGramianError(SingularMatrixError):
     (two eigenvalues of A a multiple of 2 pi i / dt apart)."""
 
 
-@dataclass(frozen=True)
-class GramianResult:
+class GramianResult(Record):
     """Observability Gramian over [0, horizon] with its definiteness verdict.
 
     ``method`` names the route: ``"doubling"``, ``"lyapunov-ode"`` or
@@ -80,15 +78,15 @@ class GramianResult:
     the symmetrized Gramian, the quantity the verdict thresholds on.
     """
 
-    gramian: np.ndarray
-    horizon: float
-    method: str
-    positive_definite: bool
-    min_pivot_or_eig: float
+    _fields = ("gramian", "horizon", "method", "positive_definite", "min_pivot_or_eig")
+
+    def __init__(self, gramian: np.ndarray, horizon: float, method: str,
+                 positive_definite: bool, min_pivot_or_eig: float):
+        self._set(gramian=gramian, horizon=horizon, method=method,
+                  positive_definite=positive_definite, min_pivot_or_eig=min_pivot_or_eig)
 
 
-@dataclass(frozen=True)
-class ObservabilityReport:
+class ObservabilityReport(Record):
     """Full certificate: rank route, Gramian route, and their agreement.
 
     ``kalman_rank`` and ``kalman_observable`` are what :func:`rank_test`
@@ -106,22 +104,23 @@ class ObservabilityReport:
     never runs RK4, and neither does the CLI.
     """
 
-    kalman_rank: int
-    rank_required: int
-    kalman_observable: bool
-    gramian_observable: bool
-    consistent: bool
-    gramian: GramianResult
-    _model: StateSpaceModel = field(repr=False, compare=False)
-    _pd_tol: float = field(repr=False, compare=False)
+    _fields = ("kalman_rank", "rank_required", "kalman_observable", "gramian_observable",
+               "consistent", "gramian")  # not the cross-check's _model and _pd_tol
+
+    def __init__(self, kalman_rank: int, rank_required: int, kalman_observable: bool,
+                 gramian_observable: bool, consistent: bool, gramian: GramianResult,
+                 _model: StateSpaceModel, _pd_tol: float):
+        self._set(kalman_rank=kalman_rank, rank_required=rank_required,
+                  kalman_observable=kalman_observable, gramian_observable=gramian_observable,
+                  consistent=consistent, gramian=gramian, _model=_model, _pd_tol=_pd_tol)
 
     @property
     def observable(self) -> bool:
         """The overall verdict: both the rank and the Gramian route say observable."""
         return self.kalman_observable and self.gramian_observable
 
-    # cached_property stores into the instance __dict__ directly, which the
-    # frozen dataclass's __setattr__ does not guard
+    # cached_property stores into the instance __dict__ directly, which
+    # Record's __setattr__ does not guard
     @functools.cached_property
     def gramian_ode(self) -> GramianResult:
         """:func:`gramian_ode` at the report's horizon and ``pd_tol``; raises

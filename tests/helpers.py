@@ -1,4 +1,4 @@
-"""Seeded model generators shared by the unit and acceptance tests."""
+"""Seeded model generators and checks shared by the unit and acceptance tests."""
 
 import numpy as np
 import pytest
@@ -83,3 +83,24 @@ def ode_calls(monkeypatch):
 
     monkeypatch.setattr(observability, "gramian_ode", counted)
     return calls
+
+
+def check_record(cls, args: tuple, shown: tuple[str, ...], hidden: tuple[str, ...] = ()):
+    """The contract of the package's immutable records (``lti.Record``):
+    ``cls(*args)`` and the same values by keyword build the same record;
+    setting or deleting any attribute raises ``AttributeError``; ``repr``
+    reads ``Name(field=value, ...)`` over the ``shown`` fields in order
+    and names no ``hidden`` one.  Returns the record."""
+    record = cls(*args)
+    assert repr(cls(**dict(zip(shown + hidden, args)))) == repr(record)
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    at = [text.index(f"{name}=") for name in shown]
+    assert at == sorted(at)
+    assert not any(name in text for name in hidden)
+    for name in (*shown, *hidden, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    return record

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import oracle_gramian
+from helpers import check_record, oracle_gramian
 from observkit.cardio import CardioParams, build_cardio_model, certify_cardio
 from observkit.fileio import dump_report
 from observkit.lti import simulate_free
@@ -17,6 +17,22 @@ def test_params_validation():
         CardioParams(mass=-2.0, damping=0.0, stiffness=1.0)
     with pytest.raises(ValueError, match="damping"):
         CardioParams(mass=1.0, damping=-0.1, stiffness=1.0)
+
+
+@pytest.mark.parametrize("args", [(1.0, 0.5, 2.0), (1, 0, -3)], ids=["floats", "ints"])
+def test_params_record_contract(args):
+    params = check_record(CardioParams, args, ("mass", "damping", "stiffness"))
+    assert all(type(getattr(params, name)) is float for name in ("mass", "damping", "stiffness"))
+
+
+def test_params_are_a_hashable_value():
+    params = CardioParams(1, 0.5, 2)
+    assert params == CardioParams(1.0, 0.5, 2.0)
+    assert hash(params) == hash(CardioParams(1.0, 0.5, 2.0))
+    assert params != CardioParams(1.0, 0.5, 3.0)
+    assert params != (1.0, 0.5, 2.0)
+    assert params != type("Sub", (CardioParams,), {})(1.0, 0.5, 2.0)  # only the same class
+    assert len({params, CardioParams(mass=1.0, damping=0.5, stiffness=2.0)}) == 1
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -603,6 +603,19 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys, flags, code):
     assert bool(written) == (code != 1)
 
 
+def test_package_import_leaves_dataclasses_unimported():
+    # pytest imports dataclasses itself, so a child checks; comparing with
+    # the state after numpy keeps the test valid if numpy ever imports it
+    code = ("import numpy, sys; before = 'dataclasses' in sys.modules; "
+            "import observkit, observkit.cli; print(before, 'dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(observkit.__file__))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def test_in_process_calls_leave_the_collector_unfrozen(capsys):
     # only the process entry freezes the heap; a library caller keeps its own
     frozen = gc.get_freeze_count()

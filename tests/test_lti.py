@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import unstable_saddle_model
+from helpers import check_record, unstable_saddle_model
 from observkit.linalg import NonFiniteError, ShapeMismatchError, expm
 from observkit.lti import (
+    StateSpaceModel,
     Trace,
     make_model,
     propagate,
@@ -51,6 +52,23 @@ def test_make_model_and_simulate_free_reject_an_int_past_the_float_range():
             make_model(a, b, c)
     with pytest.raises(NonFiniteError, match="^x0 contains an entry past the float range"):
         simulate_free(oscillator(), [10**400, 0], dt=0.1, steps=3)
+
+
+@pytest.mark.parametrize("cls, args, shown", [
+    (StateSpaceModel, (np.eye(2), np.ones((2, 1)), np.ones((1, 2))), ("a", "b", "c", "name")),
+    (Trace, (0.5, 0.25, [[1.0], [2.0]]), ("t0", "dt", "samples")),
+], ids=["StateSpaceModel", "Trace"])
+def test_record_contract(cls, args, shown):
+    check_record(cls, args, shown)
+
+
+def test_model_name_defaults_empty_and_model_is_unhashable():
+    m = make_model(np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    assert m.name == ""
+    assert StateSpaceModel(m.a, m.b, m.c).name == ""
+    with pytest.raises(TypeError):
+        hash(m)
+
 
 def test_model_arrays_are_read_only():
     m = oscillator()

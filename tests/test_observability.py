@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (  # noqa: F401  (ode_calls is a fixture)
+    check_record,
     ode_calls,
     oracle_gramian,
     random_observable_model,
@@ -23,6 +24,8 @@ from observkit.linalg import (
 )
 from observkit.lti import Trace, make_model, simulate_forced, simulate_free
 from observkit.observability import (
+    GramianResult,
+    ObservabilityReport,
     SingularGramianError,
     analyze,
     gramian_doubling,
@@ -334,6 +337,28 @@ def test_ode_cross_check_survives_powers_that_overflow_in_an_unexcited_mode(a, c
         ode, want = report.gramian_ode.gramian, report.gramian.gramian
         assert report.gramian_ode.method == "lyapunov-ode"
         assert np.linalg.norm(ode - want) <= 1e-12 * np.linalg.norm(want)
+
+
+DOUBLING = GramianResult(np.eye(2), 1.0, "doubling", True, 1.0)
+
+
+@pytest.mark.parametrize("cls, args, shown, hidden", [
+    (GramianResult, (np.eye(2), 1.0, "doubling", True, 1.0),
+     ("gramian", "horizon", "method", "positive_definite", "min_pivot_or_eig"), ()),
+    (ObservabilityReport, (2, 2, True, True, True, DOUBLING, HIDDEN_MODEL, DEFAULT_PD_TOL),
+     ("kalman_rank", "rank_required", "kalman_observable", "gramian_observable",
+      "consistent", "gramian"), ("_model", "_pd_tol")),
+], ids=["GramianResult", "ObservabilityReport"])
+def test_record_contract(cls, args, shown, hidden):
+    record = check_record(cls, args, shown, hidden)
+    with pytest.raises(TypeError):
+        hash(record)  # a Gramian is an array
+
+
+def test_report_computes_its_ode_cross_check_once(ode_calls):
+    report = analyze(table_model(), 1.0)
+    assert report.gramian_ode is report.gramian_ode
+    assert len(ode_calls) == 1
 
 
 def test_verdicts_run_no_rk4_cross_check(ode_calls):
