@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,12 +16,14 @@ from observkit.linalg import (
     as_vector,
     definiteness,
     expm,
+    expm_kernel,
     expm_squarings,
     is_positive_definite,
     rank,
     solve,
+    symmetrize,
 )
-from observkit.cardio import CardioParams
+from observkit.cardio import CardioParams, build_cardio_model
 from observkit.lti import Trace, make_model, simulate_free, zoh_discretize
 from observkit.observability import analyze, gramian_ode
 
@@ -233,6 +235,75 @@ def test_expm_squarings_takes_numpys_one_norm(a, t):
         assert expm_squarings(a, t, "stage") == (int(np.ceil(np.log2(scale))) if scale > 1 else 0)
 
 
+def textbook_pade(a, t, squarings):
+    """The textbook body of expm_kernel: a fresh identity scaled by c0 and
+    c1, and np.ldexp even at zero squarings; no finiteness check."""
+    c = (479001600.0, 239500800.0, 54432000.0, 7257600.0, 604800.0, 30240.0, 720.0)
+    x = np.ldexp(a * t, -squarings)
+    eye = np.eye(x.shape[0])
+    x2 = x @ x
+    x4 = x2 @ x2
+    even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x2 @ x4)
+    odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
+    f = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        f = f @ f
+    return f
+
+
+def zero_stiffness_block(mass, damping):
+    """The Van Loan block [[-A^T, C^T C], [0, A]] of the table with no
+    spring: exact zeros whose products carry signed zeros."""
+    m = build_cardio_model(CardioParams(mass, damping, 0.0))
+    block = np.zeros((4, 4))
+    block[:2, :2], block[:2, 2:], block[2:, 2:] = -m.a.T, m.c.T @ m.c, m.a
+    return block
+
+
+KERNEL_ARGS = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (n, n), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0)))),
+    st.builds(zero_stiffness_block, st.floats(0.1, 10.0), st.floats(0.0, 5.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_ARGS, st.integers(0, 10), st.floats(0.5, 1.0))
+@example(np.random.default_rng(30).uniform(-1.0, 1.0, (65, 65)), 3, 0.75)  # not cached
+def test_expm_kernel_is_the_textbook_pade(a, target, u):
+    # t puts ||a t||_1 / 0.5 in [2^(target - 1), 2^target], so draws scale
+    # by 0 up to 10 squarings; the kernel keeps every bit, signed zeros too
+    norm = float(np.abs(a).sum(axis=0).max())
+    t = u * 2.0 ** (target - 1) / norm if norm else u
+    assume(np.isfinite(t))  # a subnormal norm leaves no finite t that scales it
+    with np.errstate(over="ignore", invalid="ignore"):
+        squarings = expm_squarings(a, t, "expm")
+        assert squarings <= 10
+        want = textbook_pade(a, t, squarings)
+        if not np.isfinite(want).all():
+            with pytest.raises(NonFiniteError, match="^expm: exp"):
+                expm_kernel(a, t, squarings)
+            return
+        got = expm_kernel(a, t, squarings)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(1.7e308, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: arrays(np.float64, (n, n), elements=EXTREME_FLOATS)))
+def test_symmetrize_is_the_halves_of_m_and_its_transpose(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert symmetrize(m).tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+        assert symmetrize(m.T).tobytes() == (0.5 * m.T + 0.5 * m).tobytes()
+
+
 def test_rank_examples():
     # observability matrix of the table model, gamma=2, M=1, beta=0.5
     assert rank([[0.0, -2.0], [1.0, -0.5]]) == 2
@@ -307,6 +378,9 @@ def test_positive_definite_examples():
     # semi-definite, not definite
     assert not is_positive_definite(t * np.array([[0.0, 0.0], [0.0, 1.0]]))
     assert not is_positive_definite(-np.eye(2))
+    # the threshold scales with the largest diagonal magnitude, so a
+    # negative definite matrix fails at any tolerance
+    assert not is_positive_definite(-np.eye(2), 2.0)
 
 
 def test_positive_definite_symmetrizes_input():

@@ -19,6 +19,7 @@ from observkit.linalg import (
     NonFiniteError,
     ShapeMismatchError,
     expm,
+    expm_squarings,
     is_positive_definite,
     rank,
 )
@@ -197,7 +198,9 @@ def test_gramian_doubling_matches_oracle():
 def doubling_reference(m, horizon):
     """gramian_doubling spelled out with the public expm: k halvings of T
     bring ||A||_1 t to 1/2, the Van Loan block gives M(0, t), k doublings
-    reach M(0, T), and the result is symmetrized as m/2 + m.T/2."""
+    reach M(0, T), and the result is symmetrized as m/2 + m.T/2.  Returns
+    (symmetrized Gramian, verdict, smallest eigenvalue), the verdict taken
+    the textbook way against the largest diagonal magnitude."""
     scale = np.linalg.norm(m.a * horizon, 1) / 0.5
     k = int(np.ceil(np.log2(scale))) if scale > 1 else 0
     n = m.n
@@ -208,12 +211,15 @@ def doubling_reference(m, horizon):
     for _ in range(k if gram.any() else 0):
         gram = gram + phi.T @ gram @ phi
         phi = phi @ phi
-    return 0.5 * gram + 0.5 * gram.T
+    sym = 0.5 * gram + 0.5 * gram.T
+    smallest = float(np.linalg.eigvalsh(sym)[0])
+    return sym, smallest > DEFAULT_PD_TOL * np.abs(np.diag(sym)).max(), smallest
 
 
 def test_gramian_doubling_is_the_public_expm_then_doubling():
     # the doubling route hands its block to expm's kernel unchecked; its
-    # Gramian keeps the bits of the route through the validating expm
+    # Gramian, verdict and smallest eigenvalue keep the bits of the route
+    # through the validating expm and the textbook definiteness test
     models = [build_cardio_model(CardioParams(mass, damping, stiffness))
               for mass in (0.5, 1.0, 10.0) for damping in (0.0, 0.5, 5.0)
               for stiffness in (0.0, 0.1, 1.0, 100.0)]
@@ -223,8 +229,11 @@ def test_gramian_doubling_is_the_public_expm_then_doubling():
     assert len(models) == 48
     for m in models:
         for horizon in (1.0, 7.0):
-            got = gramian_doubling(m, horizon).gramian
-            assert np.array_equal(got, doubling_reference(m, horizon))
+            got = gramian_doubling(m, horizon)
+            sym, positive_definite, smallest = doubling_reference(m, horizon)
+            assert got.gramian.tobytes() == sym.tobytes()
+            assert got.positive_definite == positive_definite
+            assert got.min_pivot_or_eig.hex() == smallest.hex()
 
 
 def test_gramian_doubling_keeps_invisible_directions_exactly_zero():
@@ -254,16 +263,36 @@ def test_gramian_doubling_overflow_names_the_route():
 
 
 def test_an_overflowing_c_transpose_c_names_its_route():
-    # every entry of C is finite, but 1e200 squared is not
-    m = make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e200, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for route in (analyze, gramian_doubling):
-            with pytest.raises(NonFiniteError, match=r"^doubling: C\^T C overflows; C has an "
-                                                     r"entry of magnitude 1e\+200$"):
-                route(m, 1.0)
-        with pytest.raises(NonFiniteError, match="^lyapunov-ode:"):
-            gramian_ode(m, 1.0)
+    # every entry of C is finite, but 1e200 squared is not.  Off the
+    # diagonal of the two-output C^T C, 1e200 * -1e200 + 1e200 * 1e200 is
+    # inf - inf: NaN from a BLAS that rounds each product, -inf from one
+    # that accumulates by fused multiply-add
+    table = [[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]]
+    for c in ([[1e200, 0.0]], [[1e200, -1e200], [1e200, 1e200]]):
+        m = make_model(*table, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctc = m.c.T @ m.c
+        if m.q == 2:
+            assert np.isposinf(np.diag(ctc)).all()
+            assert not np.isfinite(ctc[0, 1]) and ctc[0, 1] != np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (analyze, gramian_doubling):
+                with pytest.raises(NonFiniteError, match=r"^doubling: C\^T C overflows; C has "
+                                                         r"an entry of magnitude 1e\+200$"):
+                    route(m, 1.0)
+            with pytest.raises(NonFiniteError, match="^lyapunov-ode:"):
+                gramian_ode(m, 1.0)
+    # gramian_doubling scans C^T C only once the block's scaling has
+    # failed, which any inf or NaN entry makes it do
+    for bad in (np.inf, -np.inf, np.nan):
+        block = np.eye(4)
+        block[0, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteError, match="^expm: A t is too large"):
+                    expm_squarings(block, 0.25, "expm")
 
 
 def test_gramian_ode_constant_integrand():
