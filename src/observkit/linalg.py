@@ -8,13 +8,11 @@ exponential has one body, :func:`expm_kernel`: :func:`expm` validates its
 arguments and calls it, and so does ``observability.gramian_doubling`` on
 a block it has built from a validated model.
 Everything here is a pure function, so the module is safe to use from
-multiple threads; its one cache, of the kernel's Pade identity terms,
-holds read-only arrays.
+multiple threads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -144,18 +142,6 @@ def expm(a, t: float = 1.0) -> np.ndarray:
         return expm_kernel(a, t, expm_squarings(a, t, "expm"))
 
 
-@functools.lru_cache(maxsize=None)
-def _pade_eyes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only arrays ``c0 * np.eye(n)`` and ``c1 * np.eye(n)`` of the
-    Pade coefficients; :func:`expm_kernel` caches them for n <= 64, so the
-    cache holds at most about 1.4 MB."""
-    eye = np.eye(n)
-    c0_eye, c1_eye = _PADE6[0] * eye, _PADE6[1] * eye
-    c0_eye.setflags(write=False)
-    c1_eye.setflags(write=False)
-    return c0_eye, c1_eye
-
-
 def expm_kernel(a: np.ndarray, t: float, squarings: int) -> np.ndarray:
     """The kernel of :func:`expm` on a square float array and a finite
     ``t`` already checked: the Pade approximant of exp(a t / 2^squarings),
@@ -166,13 +152,12 @@ def expm_kernel(a: np.ndarray, t: float, squarings: int) -> np.ndarray:
         NonFiniteError: the result is not finite.
     """
     x = np.ldexp(a * t, -squarings) if squarings else a * t
-    n = x.shape[0]
-    c0_eye, c1_eye = _pade_eyes(n) if n <= 64 else _pade_eyes.__wrapped__(n)
+    eye = np.eye(x.shape[0])
     c = _PADE6
     x2 = x @ x
     x4 = x2 @ x2
-    even = c0_eye + c[2] * x2 + c[4] * x4 + c[6] * (x2 @ x4)
-    odd = x @ (c1_eye + c[3] * x2 + c[5] * x4)
+    even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x2 @ x4)
+    odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
     f = np.linalg.solve(even - odd, even + odd)
     for _ in range(squarings):
         f = f @ f

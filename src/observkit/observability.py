@@ -231,10 +231,9 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     Phi(2t) = Phi(t)^2, k doublings reach M(0, T) (Smith, 1968).  k is the
     smallest count with ||A||_1 t <= 1/2, the scaling :func:`expm` uses,
     so the work follows from (A, T) and no grid is chosen.  The block is
-    built from the validated model, so it goes to
+    built from the validated model and a checked C^T C, so it goes to
     :func:`~observkit.linalg.expm_kernel` directly, with no second copy
-    or finiteness scan; C^T C is scanned only when the block's scaling or
-    exponential fails, to name an overflowing C^T C as the cause.
+    or finiteness scan.
 
     Raises:
         ValueError: nonpositive horizon.
@@ -244,19 +243,14 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     with np.errstate(over="ignore", invalid="ignore"):
         k = expm_squarings(m.a, horizon, "doubling")
         ctc = m.c.T @ m.c
+        if not np.isfinite(ctc).all():
+            raise NonFiniteError(f"doubling: C^T C overflows; C has an entry of magnitude "
+                                 f"{np.abs(m.c).max():.6g}")
         n = m.n
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n], block[:n, n:], block[n:, n:] = -m.a.T, ctc, m.a
         t = math.ldexp(horizon, -k)
-        try:
-            f = expm_kernel(block, t, expm_squarings(block, t, "expm"))
-        except NonFiniteError:
-            # t > 0, so a non-finite C^T C always makes the block's norm
-            # non-finite: it is checked only on this path
-            if not np.isfinite(ctc).all():
-                raise NonFiniteError(f"doubling: C^T C overflows; C has an entry of "
-                                     f"magnitude {np.abs(m.c).max():.6g}") from None
-            raise
+        f = expm_kernel(block, t, expm_squarings(block, t, "expm"))
         phi = f[n:, n:]
         gram = phi.T @ f[:n, n:]
         for i in range(k if gram.any() else 0):  # C = 0: stays 0; inf * 0 would be NaN

@@ -19,7 +19,6 @@ from observkit.linalg import (
     NonFiniteError,
     ShapeMismatchError,
     expm,
-    expm_squarings,
     is_positive_definite,
     rank,
 )
@@ -265,16 +264,10 @@ def test_gramian_doubling_overflow_names_the_route():
 def test_an_overflowing_c_transpose_c_names_its_route():
     # every entry of C is finite, but 1e200 squared is not.  Off the
     # diagonal of the two-output C^T C, 1e200 * -1e200 + 1e200 * 1e200 is
-    # inf - inf: NaN from a BLAS that rounds each product, -inf from one
-    # that accumulates by fused multiply-add
+    # inf - inf: NaN or an infinity, depending on how the BLAS accumulates
     table = [[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]]
     for c in ([[1e200, 0.0]], [[1e200, -1e200], [1e200, 1e200]]):
         m = make_model(*table, c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ctc = m.c.T @ m.c
-        if m.q == 2:
-            assert np.isposinf(np.diag(ctc)).all()
-            assert not np.isfinite(ctc[0, 1]) and ctc[0, 1] != np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for route in (analyze, gramian_doubling):
@@ -283,16 +276,6 @@ def test_an_overflowing_c_transpose_c_names_its_route():
                     route(m, 1.0)
             with pytest.raises(NonFiniteError, match="^lyapunov-ode:"):
                 gramian_ode(m, 1.0)
-    # gramian_doubling scans C^T C only once the block's scaling has
-    # failed, which any inf or NaN entry makes it do
-    for bad in (np.inf, -np.inf, np.nan):
-        block = np.eye(4)
-        block[0, 3] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NonFiniteError, match="^expm: A t is too large"):
-                    expm_squarings(block, 0.25, "expm")
 
 
 def test_gramian_ode_constant_integrand():
