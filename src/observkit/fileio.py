@@ -291,16 +291,6 @@ def _grid_fault(times: np.ndarray) -> tuple[int, str] | None:
                    f"non-uniform time step {float(steps[k])!r}, expected {float(steps[0])!r}")
 
 
-def _grid_trace(table: np.ndarray) -> Trace:
-    """The trace of a table whose time column passed :func:`_grid_fault`,
-    with the mean step, since one step carries the rounding of two times.
-
-    Raises:
-        ValueError: the mean step's grid breaks ``Trace``'s rule.
-    """
-    return Trace(table[0, 0], (table[-1, 0] - table[0, 0]) / (len(table) - 1), table[:, 1:])
-
-
 # str.splitlines also ends a line at these ASCII bytes; numpy's reader does not
 _LINE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # numpy opens a path with one of these suffixes through a decompressor
@@ -308,28 +298,29 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _NON_SPACE = re.compile(rb"\S")
 
 
-def _read_trace(path: str, data: bytes) -> Trace | None:
-    """The trace in the file at ``path``, whose bytes are ``data``, with
-    numpy's reader parsing its data rows from the path; None when the file
-    must go through the line route, which then gives the trace or the
-    error.
+def _read_trace(path: str, data: bytes) -> np.ndarray | None:
+    """numpy's table of the data rows of the file at ``path``, whose bytes
+    are ``data``, parsed from the path; None when the file must go through
+    :func:`load_trace`'s line route.
 
-    numpy opens the path as ``open`` does, in text mode, so this read gives
-    the table the line route gives, or none.  It declines a file whose
-    line 1 is not the header, one whose lines could split otherwise than
-    ``splitlines`` splits them (bytes past ASCII, or the control
-    characters of ``_LINE_BREAKS``), and a path that numpy would not open
-    again as the same plain local file: a compressed suffix, a scheme and
-    host (``://``), which it would fetch as a URL, or anything but a
-    regular file, such as a pipe the first read emptied.  numpy refuses by
-    itself, with ``ValueError``, a whitespace-only line, which the line
-    route skips.  A file with no data row is not handed to numpy, which
-    warns on it.  Every table that fails a check is declined, so that the
-    line route names the line at fault.
+    numpy opens the path as ``open`` does, in text mode, so a table read
+    here is the one the line route would parse.  It declines a file whose
+    lines could split otherwise than ``splitlines`` splits them (bytes past
+    ASCII, or the control characters of ``_LINE_BREAKS``), and a path that
+    numpy would not open again as the same plain local file: a compressed
+    suffix, a scheme and host (``://``), which it would fetch as a URL, or
+    anything but a regular file, such as a pipe the first read emptied.  It
+    also declines a file whose line 1 is not the header, one with no data
+    row, which numpy warns on, one numpy refuses (it refuses by itself a
+    whitespace-only line, which the line route skips), and a table of fewer
+    than two rows or of a width other than the header's, so that the line
+    route names the line at fault.  The table's values are not checked.
     """
     end = data.find(b"\n")
     if end < 0 or not data.isascii() or any(c in data for c in _LINE_BREAKS):
         return None
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
     if (not isinstance(path, str) or path.endswith(_COMPRESSED) or "://" in path
             or not os.path.isfile(path)):
         return None
@@ -340,13 +331,7 @@ def _read_trace(path: str, data: bytes) -> Trace | None:
         table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
     except (OSError, ValueError):  # OSError: the file went away since it was read
         return None
-    if (table.shape[0] < 2 or table.shape[1] != width + 1 or not np.isfinite(table).all()
-            or _grid_fault(table[:, 0])):
-        return None
-    try:
-        return _grid_trace(table)
-    except ValueError:
-        return None
+    return table if table.shape[0] >= 2 and table.shape[1] == width + 1 else None
 
 
 def load_trace(path: str) -> Trace:
@@ -355,16 +340,19 @@ def load_trace(path: str) -> Trace:
     The time column must be strictly increasing, every step counted, and
     uniformly spaced: each step must agree with the first by
     :func:`~observkit.lti.times_agree`.  The time step is the mean step,
-    (t_last - t_first) / (rows - 1), and the grid it gives must pass
+    (t_last - t_first) / (rows - 1), since one step carries the rounding
+    of two times, and the grid it gives must pass
     :class:`~observkit.lti.Trace`'s own rule.  At least two rows are
     required, since a single row cannot determine the time step.  Blank
     lines are skipped, and fields may carry surrounding spaces.
 
-    Two routes read the file and give the same trace.  When line 1 is the
-    header and the file is plain ASCII, numpy's reader parses the data rows
-    straight from the file.  Every file that read declines, or whose table
-    fails a check, takes the line route: it decodes the bytes as ``open``
-    would, skips whitespace-only lines and names the line of each error.
+    The table comes from one of two routes.  When :func:`_read_trace`
+    accepts the file, numpy's reader has parsed the data rows straight from
+    the path.  Otherwise the line route decodes the bytes as ``open``
+    would, skips whitespace-only lines, checks the header, the row count
+    and each row's fields, and parses the rest.  Either table then meets
+    the same checks of its values and its grid, once.  The file's lines
+    are decoded only for the line route, or to name the line of an error.
 
     Raises:
         ParseError: with the offending line number, or naming the file
@@ -375,59 +363,61 @@ def load_trace(path: str) -> Trace:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read trace file: {exc}") from None
-    trace = _read_trace(path, data)
-    return trace if trace is not None else _parse_trace_lines(path, data)
 
+    def decode() -> list[str]:
+        try:
+            return io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: cannot read trace file: {exc}") from None
 
-def _parse_trace_lines(path: str, data: bytes) -> Trace:
-    """:func:`load_trace`'s line route: the trace in ``data``, or a
-    ``ParseError`` naming the file line at fault."""
-    try:
-        raw_lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: cannot read trace file: {exc}") from None
-    rows = [line for line in raw_lines if line.strip()]
-    if not rows:
-        raise ParseError(f"{path}: empty trace file")
+    table = _read_trace(path, data)
+    raw_lines = decode() if table is None else None
 
-    def fail(row: int, message: str) -> ParseError:  # rows[row], by file line
-        line_no = [i + 1 for i, line in enumerate(raw_lines) if line.strip()][row]
+    def fail(row: int, message: str) -> ParseError:  # at the row-th non-blank line
+        lines = decode() if raw_lines is None else raw_lines
+        line_no = [i + 1 for i, line in enumerate(lines) if line.strip()][row]
         return ParseError(f"{path}: line {line_no}: {message}")
 
-    def check_fields() -> None:  # raises at the first bad data row
-        for k, line in enumerate(rows[1:], 1):
-            parts = line.split(",")
-            if len(parts) != width + 1:
-                raise fail(k, f"expected {width + 1} fields, got {len(parts)}")
-            try:
-                row = [float(part) for part in parts]
-            except ValueError:
-                raise fail(k, "non-numeric field") from None
-            if not all(math.isfinite(x) for x in row):
-                raise fail(k, "non-finite value")
+    if table is None:
+        rows = [line for line in raw_lines if line.strip()]
+        if not rows:
+            raise ParseError(f"{path}: empty trace file")
 
-    width = _header_width(rows[0])
-    if not width:
-        raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
-    if len(rows) < 3:
-        check_fields()
-        raise ParseError(f"{path}: need at least two samples to infer the "
-                         f"time step, got {len(rows) - 1}")
-    try:
-        table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        check_fields()
-        raise ParseError(f"{path}: {exc}") from None
-    if table.shape[1] != width + 1:
-        check_fields()  # raises: every row has the wrong field count
+        def check_fields() -> None:  # raises at the first bad data row
+            for k, line in enumerate(rows[1:], 1):
+                parts = line.split(",")
+                if len(parts) != width + 1:
+                    raise fail(k, f"expected {width + 1} fields, got {len(parts)}")
+                try:
+                    row = [float(part) for part in parts]
+                except ValueError:
+                    raise fail(k, "non-numeric field") from None
+                if not all(math.isfinite(x) for x in row):
+                    raise fail(k, "non-finite value")
+
+        width = _header_width(rows[0])
+        if not width:
+            raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
+        if len(rows) < 3:
+            check_fields()
+            raise ParseError(f"{path}: need at least two samples to infer the "
+                             f"time step, got {len(rows) - 1}")
+        try:
+            table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            check_fields()
+            raise ParseError(f"{path}: {exc}") from None
+        if table.shape[1] != width + 1:
+            check_fields()  # raises: every row has the wrong field count
+    # the header is non-blank line 0, so table row k is non-blank line k + 1
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
     fault = _grid_fault(table[:, 0])
-    if fault:  # sample k is rows[k + 1]
+    if fault:
         raise fail(fault[0] + 1, fault[1])
     try:
-        return _grid_trace(table)
+        return Trace(table[0, 0], (table[-1, 0] - table[0, 0]) / (len(table) - 1), table[:, 1:])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

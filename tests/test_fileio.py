@@ -321,19 +321,26 @@ def test_load_trace_errors_name_file_lines_past_blank_lines(tmp_path):
 
 
 def test_load_trace_errors(tmp_path):
-    cases = {
-        "empty trace file": "",
-        "header must be": "x,y\n0,1\n1,2\n",
-        "expected 3 fields": "t,v1,v2\n0,1,2\n1,2\n",
-        "non-numeric field": "t,v1\n0,one\n1,2\n",
-        "non-finite value": "t,v1\n0,inf\n1,2\n",
-        "at least two samples": "t,v1\n0,1\n",
-        "strictly increasing": "t,v1\n1,1\n0,2\n",
-        "non-uniform time step": "t,v1\n0,1\n1,2\n2.5,3\n",
-    }
-    for expected, text in cases.items():
+    cases = [
+        ("empty trace file", ""),
+        ("header must be", "x,y\n0,1\n1,2\n"),
+        ("expected 3 fields", "t,v1,v2\n0,1,2\n1,2\n"),
+        ("non-numeric field", "t,v1\n0,one\n1,2\n"),
+        ("non-finite value", "t,v1\n0,inf\n1,2\n"),
+        ("at least two samples", "t,v1\n0,1\n"),
+        ("strictly increasing", "t,v1\n1,1\n0,2\n"),
+        ("non-uniform time step", "t,v1\n0,1\n1,2\n2.5,3\n"),
+        # a one-sample file names its bad field before its missing time step
+        ("line 2: non-finite value$", "t,v1\n0,inf\n"),
+        ("line 2: non-finite value$", "t,v1\r\n0,inf\r\n"),
+        ("line 2: non-numeric field$", "t,v1\n0,x\n"),
+        # every row one field wider than the header, as each route reads it
+        ("line 2: expected 2 fields, got 3$", "t,v1\n0,1,2\n1,2,3\n"),
+        ("line 3: expected 2 fields, got 3$", "t,v1\n \n0,1,2\n1,2,3\n"),
+    ]
+    for expected, text in cases:
         path = tmp_path / "case.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(ParseError, match=expected):
             load_trace(str(path))
 
@@ -391,17 +398,57 @@ def test_both_trace_routes_read_what_the_line_route_reads(tmp_path_factory, grid
     assert (_read_trace(str(path), path.read_bytes()) is None) == line_route
 
 
-def test_load_trace_loads_a_crlf_trace(tmp_path):
+def _spy_on_loadtxt(monkeypatch) -> list:
+    """The first argument of every later ``np.loadtxt`` call, in order."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        calls.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_load_trace_loads_a_crlf_trace(tmp_path, monkeypatch):
     trace = Trace(-2.5, 0.125, np.random.default_rng(8).standard_normal((50, 2)))
     path = tmp_path / "crlf.csv"
     save_trace(trace, str(path))
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    calls = _spy_on_loadtxt(monkeypatch)
     for name in (str(path), path):  # a path object, as open() takes it
+        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = load_trace(name)
+        assert calls == [str(path)]  # numpy's reader parses either from the path
         assert (back.t0, back.dt) == (trace.t0, trace.dt)
         assert back.samples.tobytes() == trace.samples.tobytes()
+
+
+def test_load_trace_parses_a_numpy_route_file_once(tmp_path, monkeypatch):
+    # numpy's reader parses each of these files from its path; the check
+    # that fails names the line from that table, with no second parse
+    times = [2.0**57 + 16 * k for k in range(-10, 1)] + [2.0**57 + 32 * k for k in range(1, 11)]
+    cases = {
+        "finite.csv": ("t,v1\n0,1\n0.5,2\n1,inf\n", "line 4: non-finite value"),
+        "uniform.csv": ("t,v1\n0,1\n0.5,2\n1.75,3\n",
+                        "line 4: non-uniform time step 1.25, expected 0.5"),
+        "decreasing.csv": ("t,v1\n0,1\n0.5,2\n0.25,3\n",
+                           "line 4: non-uniform time step -0.25, expected 0.5"),
+        "binade.csv": ("t,v1\n" + "".join(f"{t!r},0\n" for t in times),
+                       "t0 = 1.4411518807585571e+17 and dt = 24.0 give sample 10 at "
+                       "t = 1.4411518807585594e+17: time column must be strictly increasing"),
+    }
+    calls = _spy_on_loadtxt(monkeypatch)
+    for name, (text, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        calls.clear()
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_trace(str(path))
+        assert calls == [str(path)]
 
 
 def test_load_trace_keeps_the_bytes_of_a_file_removed_after_its_first_read(tmp_path,
