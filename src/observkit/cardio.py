@@ -45,15 +45,10 @@ class CardioParams(Record):
     _fields = ("mass", "damping", "stiffness")
 
     def __init__(self, mass: float, damping: float, stiffness: float):
-        self._set(mass=as_float(mass, "mass"), damping=as_float(damping, "damping"),
-                  stiffness=as_float(stiffness, "stiffness"))
         # an infinite mass would zero -gamma/M and so certify the wrong table
-        if not 0 < self.mass < math.inf:  # also false for NaN
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not 0 <= self.damping < math.inf:
-            raise ValueError(f"damping must be nonnegative and finite, got {self.damping}")
-        if not math.isfinite(self.stiffness):
-            raise ValueError(f"stiffness must be finite, got {self.stiffness}")
+        self._set(mass=as_float(mass, "mass", "positive"),
+                  damping=as_float(damping, "damping", "nonnegative"),
+                  stiffness=as_float(stiffness, "stiffness"))
         for name, value in (("stiffness", self.stiffness), ("damping", self.damping)):
             if not math.isfinite(value / self.mass):
                 raise ValueError(f"{name} / mass must be finite, got {value} / {self.mass}")

@@ -3,7 +3,9 @@
 All matrices are plain 2-D ``numpy.float64`` arrays.  One conversion body
 turns a caller's values into a finite float array or a named error;
 :func:`as_matrix`, :func:`as_vector` and :func:`solve`'s right-hand side
-go through it, and :func:`as_square` is the one square rule.  The matrix
+go through it, and :func:`as_square` is the one square rule.  A float
+parameter has one rule too, :func:`as_float`: finite, and by its sign word
+positive, nonnegative or of any sign, or a named error.  The matrix
 exponential has one body, :func:`expm_kernel`: :func:`expm` validates its
 arguments and calls it, and so does ``observability.gramian_doubling`` on
 a block it has built from a validated model.
@@ -83,16 +85,29 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return _as_array(values, name).ravel()
 
 
-def as_float(value, name: str) -> float:
-    """``float(value)``, except that an int past the float range reads as the
-    infinity of its sign, for the caller's finiteness rule to refuse, and
-    that a value ``float()`` cannot take raises ``ValueError`` naming ``name``."""
+def as_float(value, name: str, sign: str = "") -> float:
+    """The one scalar rule: ``float(value)``, finite and, as ``sign`` asks,
+    ``"positive"``, ``"nonnegative"`` or of any sign (``""``).
+
+    Raises:
+        NonFiniteError: the value is NaN, an infinity or an int past the
+            float range (shown as the infinity of its sign).
+        ValueError: the value is finite with the wrong sign.  Both errors
+            read "{name} must be [{sign} and ]finite, got {x}".  A value
+            ``float()`` cannot take raises ValueError too, as "{name} must
+            be a number, got {value!r}".
+    """
     try:
-        return float(value)
-    except OverflowError:
-        return np.inf if value > 0 else -np.inf
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    finite = math.isfinite(x)
+    if finite and (x > 0 if sign == "positive" else x >= 0 if sign == "nonnegative" else True):
+        return x
+    rule = f"{sign} and finite" if sign else "finite"
+    raise (ValueError if finite else NonFiniteError)(f"{name} must be {rule}, got {x}")
 
 
 def as_count(value, name: str) -> int:
@@ -136,8 +151,6 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     """
     a = as_square(a)
     t = as_float(t, "time")
-    if not np.isfinite(t):
-        raise NonFiniteError("time must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         return expm_kernel(a, t, expm_squarings(a, t, "expm"))
 
@@ -171,9 +184,8 @@ def _singular_values(m: np.ndarray, rel_tol: float | None) -> tuple[np.ndarray, 
     """Singular values of ``m``, largest first, and the relative threshold
     they are judged by: ``rel_tol``, by default machine epsilon times the
     larger dimension (at least 1), which must be positive and finite."""
-    rel_tol = EPS * max(*m.shape, 1) if rel_tol is None else as_float(rel_tol, "rel_tol")
-    if not 0 < rel_tol < np.inf:  # also false for NaN
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    rel_tol = (EPS * max(*m.shape, 1) if rel_tol is None
+               else as_float(rel_tol, "rel_tol", "positive"))
     return (np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)), rel_tol
 
 
@@ -206,9 +218,7 @@ def definiteness(m: np.ndarray, tol: float) -> tuple[np.ndarray, bool, float]:
     is true iff the smallest eigenvalue exceeds ``tol`` times the largest
     diagonal magnitude.  ``tol`` must be finite and nonnegative.
     """
-    tol = as_float(tol, "definiteness tolerance")
-    if not 0 <= tol < np.inf:  # also false for NaN
-        raise ValueError(f"definiteness tolerance must be finite and nonnegative, got {tol}")
+    tol = as_float(tol, "definiteness tolerance", "nonnegative")
     sym = symmetrize(m)
     smallest = float(np.linalg.eigvalsh(sym)[0])
     return sym, smallest > tol * max(map(abs, sym.diagonal().tolist())), smallest

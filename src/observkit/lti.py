@@ -121,16 +121,16 @@ class Trace(Record):
     samples survives a CSV round trip.
 
     Raises:
-        ValueError: naming t0, dt and the first sample k, with its time,
-            that breaks the rule.
+        NonFiniteError: t0 or dt is not finite (:func:`~observkit.linalg.as_float`).
+        ValueError: dt is not positive (``as_float``), or a sample time
+            breaks the rule; that message names t0, dt and the first such
+            sample k with its time.
     """
 
     _fields = ("t0", "dt", "samples")
 
     def __init__(self, t0: float, dt: float, samples: np.ndarray):
-        t0, dt = as_float(t0, "t0"), as_float(dt, "dt")
-        if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
-            raise ValueError(f"t0 must be finite and dt finite and positive, got {t0}, {dt}")
+        t0, dt = as_float(t0, "t0"), as_float(dt, "dt", "positive")
         samples = as_matrix(samples, "samples")
         samples.setflags(write=False)
         self._set(t0=t0, dt=dt, samples=samples)

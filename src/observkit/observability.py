@@ -152,13 +152,6 @@ def rank_test(m: StateSpaceModel, rel_tol: float | None = None) -> tuple[int, bo
     return r, r == m.n
 
 
-def _check_horizon(horizon: float) -> float:
-    horizon = as_float(horizon, "horizon")
-    if not 0 < horizon < np.inf:  # also false for NaN
-        raise ValueError(f"horizon must be a positive time, got {horizon}")
-    return horizon
-
-
 def _finish_gramian(gram: np.ndarray, horizon: float, method: str,
                     pd_tol: float) -> GramianResult:
     sym, positive_definite, smallest = definiteness(gram, pd_tol)
@@ -208,7 +201,7 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     Raises:
         ValueError: nonpositive horizon or odd/low interval count.
     """
-    horizon = _check_horizon(horizon)
+    horizon = as_float(horizon, "horizon", "positive")
     intervals = as_count(intervals, "intervals")
     if intervals < 2 or intervals % 2:
         raise ValueError(f"intervals must be even and >= 2, got {intervals}")
@@ -239,7 +232,7 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
         ValueError: nonpositive horizon.
         NonFiniteError: C^T C or the Gramian overflows over [0, T].
     """
-    horizon = _check_horizon(horizon)
+    horizon = as_float(horizon, "horizon", "positive")
     with np.errstate(over="ignore", invalid="ignore"):
         k = expm_squarings(m.a, horizon, "doubling")
         ctc = m.c.T @ m.c
@@ -273,7 +266,7 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     cross-check.  It is a reference, not a fast path: each step is four
     n x n products and about twenty-five numpy calls.
     """
-    horizon = _check_horizon(horizon)
+    horizon = as_float(horizon, "horizon", "positive")
     steps = as_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -375,7 +368,7 @@ def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = N
     :func:`~observkit.linalg.solve` takes to check the Gramian, so it costs
     nothing more."""
     if horizon is not None:
-        horizon = _check_horizon(horizon)
+        horizon = as_float(horizon, "horizon", "positive")
         span = y.duration
         if not times_agree(span, horizon, max(span, horizon), y.t0, y.t0 + span):
             raise ValueError(

@@ -25,7 +25,8 @@ from observkit.linalg import (
 )
 from observkit.cardio import CardioParams, build_cardio_model
 from observkit.lti import Trace, make_model, simulate_free, zoh_discretize
-from observkit.observability import analyze, gramian_ode
+from observkit.observability import (analyze, gramian_doubling, gramian_ode, gramian_quadrature,
+                                     reconstruct_initial_state)
 
 TABLE = make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], [[0.0, 1.0]])
 
@@ -52,51 +53,89 @@ def test_as_matrix_and_as_vector_reject_an_int_past_the_float_range():
             as_vector([big, 0.0], "v")
 
 
-# Every scalar a caller passes: its id, the message its finiteness rule
-# gives an infinity ({} is "inf" or "-inf"), and the name it gives a
-# non-number.
+# Every float parameter a caller passes, each checked by linalg.as_float:
+# its id, the call, the name it gives the parameter and its sign word.
+# Each expected message follows from the name and the sign word alone.
 SCALAR_SITES = [
-    ("expm-t", lambda x: expm(np.eye(2), x), "time must be finite", "time"),
-    ("zoh_discretize-dt", lambda x: zoh_discretize(TABLE.a, TABLE.b, x),
-     "time must be finite", "time"),
-    ("Trace-t0", lambda x: Trace(x, 1.0, [[1.0], [2.0]]),
-     "t0 must be finite and dt finite and positive, got {}, 1.0", "t0"),
-    ("Trace-dt", lambda x: Trace(0.0, x, [[1.0], [2.0]]),
-     "t0 must be finite and dt finite and positive, got 0.0, {}", "dt"),
+    ("expm-t", lambda x: expm(np.eye(2), x), "time", ""),
+    ("zoh_discretize-dt", lambda x: zoh_discretize(TABLE.a, TABLE.b, x), "time", ""),
+    ("Trace-t0", lambda x: Trace(x, 1.0, [[1.0], [2.0]]), "t0", ""),
+    ("Trace-dt", lambda x: Trace(0.0, x, [[1.0], [2.0]]), "dt", "positive"),
     ("simulate_free-dt", lambda x: simulate_free(TABLE, [1.0, 0.0], dt=x, steps=3),
-     "t0 must be finite and dt finite and positive, got 0.0, {}", "dt"),
-    ("analyze-horizon", lambda x: analyze(TABLE, x),
-     "horizon must be a positive time, got {}", "horizon"),
-    ("gramian_ode-horizon", lambda x: gramian_ode(TABLE, x),
-     "horizon must be a positive time, got {}", "horizon"),
-    ("CardioParams-mass", lambda x: CardioParams(x, 0.5, 2.0),
-     "mass must be positive and finite, got {}", "mass"),
-    ("CardioParams-damping", lambda x: CardioParams(1.0, x, 2.0),
-     "damping must be nonnegative and finite, got {}", "damping"),
-    ("CardioParams-stiffness", lambda x: CardioParams(1.0, 0.5, x),
-     "stiffness must be finite, got {}", "stiffness"),
-    ("rank-rel_tol", lambda x: rank(np.eye(2), x),
-     "rel_tol must be positive and finite, got {}", "rel_tol"),
+     "dt", "positive"),
+    ("analyze-horizon", lambda x: analyze(TABLE, x), "horizon", "positive"),
+    ("gramian_ode-horizon", lambda x: gramian_ode(TABLE, x), "horizon", "positive"),
+    ("gramian_doubling-horizon", lambda x: gramian_doubling(TABLE, x), "horizon", "positive"),
+    ("gramian_quadrature-horizon", lambda x: gramian_quadrature(TABLE, x),
+     "horizon", "positive"),
+    ("reconstruct-horizon", lambda x: reconstruct_initial_state(TABLE, TABLE_Y, horizon=x),
+     "horizon", "positive"),
+    ("CardioParams-mass", lambda x: CardioParams(x, 0.5, 2.0), "mass", "positive"),
+    ("CardioParams-damping", lambda x: CardioParams(1.0, x, 2.0), "damping", "nonnegative"),
+    ("CardioParams-stiffness", lambda x: CardioParams(1.0, 0.5, x), "stiffness", ""),
+    ("rank-rel_tol", lambda x: rank(np.eye(2), x), "rel_tol", "positive"),
     ("analyze-pd_tol", lambda x: analyze(TABLE, 1.0, pd_tol=x),
-     "definiteness tolerance must be finite and nonnegative, got {}", "definiteness tolerance"),
+     "definiteness tolerance", "nonnegative"),
     ("is_positive_definite-tol", lambda x: is_positive_definite(np.eye(2), x),
-     "definiteness tolerance must be finite and nonnegative, got {}", "definiteness tolerance"),
+     "definiteness tolerance", "nonnegative"),
 ]
+TABLE_Y = simulate_free(TABLE, [1.0, -0.5], dt=0.1, steps=10)[1]
+
+
+def scalar_message(name, sign, shown):
+    rule = f"{sign} and finite" if sign else "finite"
+    return "^" + re.escape(f"{name} must be {rule}, got {shown}") + "$"
+
+
+def scalar_params(*signs):
+    return [pytest.param(call, name, sign, id=site)
+            for site, call, name, sign in SCALAR_SITES if sign in signs]
 
 
 # each site reads an int past the float range as the infinity of its sign
-# and refuses it with the message it gives that infinity, not a bare
-# OverflowError
+# and refuses it as it refuses that infinity, not with a bare OverflowError
 @pytest.mark.parametrize("call, message", [
-    *(pytest.param(call, message, id=site) for site, call, message, _ in SCALAR_SITES),
+    *(pytest.param(call, (name, sign), id=site) for site, call, name, sign in SCALAR_SITES),
     pytest.param(lambda x: solve(np.eye(1), [x]),
                  "right-hand side contains an entry past the float range", id="solve-rhs"),
 ])
 @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
 def test_scalars_past_the_float_range_raise_the_sites_message(call, message, sign):
-    inf = "inf" if sign > 0 else "-inf"
-    with pytest.raises(ValueError, match="^" + re.escape(message.format(inf)) + "$"):
+    pattern = ("^" + re.escape(message) + "$" if isinstance(message, str)
+               else scalar_message(*message, "inf" if sign > 0 else "-inf"))
+    with pytest.raises(NonFiniteError, match=pattern):
         call(sign * 10**400)
+
+
+@pytest.mark.parametrize("call, name, sign", scalar_params("", "positive", "nonnegative"))
+def test_nan_scalars_raise_a_non_finite_error(call, name, sign):
+    with pytest.raises(NonFiniteError, match=scalar_message(name, sign, "nan")):
+        call(np.nan)
+
+
+def refuse_by_sign(call, name, sign, value):
+    """A finite value of the wrong sign: a ValueError, not a NonFiniteError."""
+    with pytest.raises(ValueError, match=scalar_message(name, sign, value)) as info:
+        call(value)
+    assert not isinstance(info.value, NonFiniteError)
+
+
+@pytest.mark.parametrize("call, name, sign", scalar_params("positive"))
+def test_positive_scalars_refuse_zero_and_negatives(call, name, sign):
+    for value in (0.0, -0.0, -1.0):
+        refuse_by_sign(call, name, sign, value)
+
+
+@pytest.mark.parametrize("call, name, sign", scalar_params("nonnegative"))
+def test_nonnegative_scalars_refuse_negatives_and_take_zero(call, name, sign):
+    refuse_by_sign(call, name, sign, -1e-300)
+    call(0.0)
+    call(-0.0)
+
+
+@pytest.mark.parametrize("call, name, sign", scalar_params(""))
+def test_sign_free_scalars_take_negatives(call, name, sign):
+    call(-1.0)
 
 
 # a value float() cannot take is a ValueError naming the parameter, not a
@@ -105,8 +144,8 @@ def test_scalars_past_the_float_range_raise_the_sites_message(call, message, sig
     pytest.param(call, name, value, shown, id=f"{value_id}-{site}")
     for value, shown, value_id in ((None, "None", "None"), ("x", "'x'", "str"),
                                    ([1.0], "[1.0]", "list"))
-    for site, call, _, name in SCALAR_SITES
-    if not (value is None and site == "rank-rel_tol")  # None selects rank's default
+    for site, call, name, _ in SCALAR_SITES
+    if not (value is None and site in ("rank-rel_tol", "reconstruct-horizon"))  # None: default
 ])
 def test_non_numeric_scalars_raise_a_named_error(call, name, value, shown):
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a number, got {shown}")
@@ -337,9 +376,10 @@ def test_definiteness_rejects_bad_tolerance():
     # a negative tol passes a singular matrix, NaN or inf fails every one
     singular = np.array([[0.0, 0.0], [0.0, 1.0]])
     for tol in (-1.0, -1e-12, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        message = f"^definiteness tolerance must be nonnegative and finite, got {tol}$"
+        with pytest.raises(ValueError, match=message):
             definiteness(singular, tol)
-        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=message):
             is_positive_definite(np.eye(2), tol)
     assert is_positive_definite(np.eye(2), 0.0)
     assert not is_positive_definite(singular, 0.0)

@@ -187,7 +187,7 @@ def test_simulate_free_rejects_bad_arguments():
     with pytest.raises(ShapeMismatchError, match="width 2"):
         simulate_free(oscillator(), [1.0, 2.0, 3.0])
     for dt in (0.0, -0.1, float("inf"), float("nan")):
-        message = f"t0 must be finite and dt finite and positive, got 0.0, {dt}"
+        message = f"dt must be positive and finite, got {dt}"
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_free(oscillator(), [1.0, 2.0], dt=dt)
     with pytest.raises(ValueError):
