@@ -5,7 +5,9 @@ turns a caller's values into a finite float array or a named error;
 :func:`as_matrix`, :func:`as_vector` and :func:`solve`'s right-hand side
 go through it, and :func:`as_square` is the one square rule.  A float
 parameter has one rule too, :func:`as_float`: finite, and by its sign word
-positive, nonnegative or of any sign, or a named error.  The matrix
+positive, nonnegative or of any sign, or a named error; and a count has
+one, :func:`as_count`: a whole number of at least its ``least`` bound, or
+a named error.  The matrix
 exponential has one body, :func:`expm_kernel`: :func:`expm` validates its
 arguments and calls it, and so does ``observability.gramian_doubling`` on
 a block it has built from a validated model.
@@ -110,15 +112,21 @@ def as_float(value, name: str, sign: str = "") -> float:
     raise (ValueError if finite else NonFiniteError)(f"{name} must be {rule}, got {x}")
 
 
-def as_count(value, name: str) -> int:
-    """``value`` as a Python int: ints, numpy integers and floats with an
-    integral value pass; anything else (a fraction, NaN, an infinity, a
-    bool or a string) raises ``ValueError`` naming ``name``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+def as_count(value, name: str, least: int) -> int:
+    """The one count rule: ``value`` as a Python int of at least ``least``.
+
+    Ints, numpy integers and floats with an integral value are whole
+    numbers; anything else (a fraction, NaN, an infinity, a bool or a
+    string) raises ``ValueError`` "{name} must be a whole number, got
+    {value!r}", and a whole number below ``least`` raises ``ValueError``
+    "{name} must be a whole number >= {least}, got {n}".
+    """
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if int(value) < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {int(value)}")
+    return int(value)
 
 
 # Degree-6 diagonal Pade coefficients for exp(x), scaled to integers.
@@ -197,7 +205,8 @@ def rank(m, rel_tol: float | None = None) -> int:
     s, rel_tol = _singular_values(as_matrix(m), rel_tol)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    # a Python float product: a threshold past the float range is inf, with no warning
+    return int(np.count_nonzero(s > rel_tol * float(s[0])))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -136,7 +136,8 @@ class Trace(Record):
         self._set(t0=t0, dt=dt, samples=samples)
         with np.errstate(over="ignore"):  # an infinite time is reported below
             times = self.times
-        ok = np.isfinite(times) & (np.diff(times, prepend=-np.inf) > 0)
+        ok = np.isfinite(times)  # neighbours are compared, never subtracted: inf - inf warns
+        ok[1:] &= times[1:] > times[:-1]
         if not ok.all():
             k = int(np.argmin(ok))
             rule = "strictly increasing" if np.isfinite(times[k]) else "finite"
@@ -249,9 +250,7 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     Returns:
         (x trace, y trace), each with steps + 1 samples.
     """
-    steps = as_count(steps, "steps")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    steps = as_count(steps, "steps", 0)
     return simulate_forced(m, x0, Trace(t0, dt, np.zeros((steps + 1, m.p))))
 
 

@@ -202,9 +202,9 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
         ValueError: nonpositive horizon or odd/low interval count.
     """
     horizon = as_float(horizon, "horizon", "positive")
-    intervals = as_count(intervals, "intervals")
-    if intervals < 2 or intervals % 2:
-        raise ValueError(f"intervals must be even and >= 2, got {intervals}")
+    intervals = as_count(intervals, "intervals", 2)
+    if intervals % 2:
+        raise ValueError(f"intervals must be even, got {intervals}")
     h = horizon / intervals
     weights = np.full(intervals + 1, 2.0 / 3.0)
     weights[1::2] = 4.0 / 3.0
@@ -267,9 +267,7 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     n x n products and about twenty-five numpy calls.
     """
     horizon = as_float(horizon, "horizon", "positive")
-    steps = as_count(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = as_count(steps, "steps", 1)
     h = horizon / steps
     w = np.zeros((m.n, m.n))
     with np.errstate(over="ignore", invalid="ignore"):

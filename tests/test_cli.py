@@ -122,6 +122,29 @@ def test_analyze_unobservable_model(tmp_path, capsys):
     assert json.loads(out)["observable"] is False
 
 
+def test_analyze_warns_when_the_verdicts_disagree(tmp_path, capsys):
+    # the table in millimetres: rank 2, but the Gramian's smallest eigenvalue
+    # falls below pd_tol times its largest diagonal entry
+    path = tmp_path / "mm.json"
+    save_model(make_model([[0.0, 1000.0], [-1e-05, -0.5]], [[0.0], [1.0]], [[0.0, 1.0]]),
+               str(path))
+    rc = main(["analyze", "--model", str(path), "--horizon", "1"])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.splitlines() == [
+        "warning: Kalman rank and Gramian verdicts disagree; "
+        "re-run with tighter tolerances or a longer horizon",
+        "model: NOT completely observable over [0, 1] (rank 2/2)"]
+
+
+def test_analyze_rank_tolerance_past_the_float_range_is_a_verdict(tmp_path, capsys):
+    rc = main(["analyze", "--model", cardio_model_file(tmp_path, stiffness=2.0),
+               "--rank-tol", "1e308"])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.endswith("(rank 0/2)\n")
+
+
 def test_analyze_malformed_model(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -252,6 +275,32 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_x0_is_converted_and_checked_by_the_library(tmp_path, capsys):
+    model_path = cardio_model_file(tmp_path)
+    prefix = str(tmp_path / "x0")
+    for x0, message in (("a,b", "could not convert string to float: 'a'"),
+                        ("1,", "could not convert string to float: ''")):
+        rc = main(["simulate", "--model", model_path, f"--x0={x0}",
+                   "--dt", "0.1", "--steps", "3", "--out", prefix])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: x0 is ragged or non-numeric: {message}\n"
+    assert not list(tmp_path.glob("x0*"))
+    # numpy strips the spaces around a field, as float() does
+    assert main(["simulate", "--model", model_path, "--x0", "1, -0.5",
+                 "--dt", "0.1", "--steps", "3", "--out", prefix]) == 0
+    capsys.readouterr()
+    np.testing.assert_array_equal(load_trace(prefix + "_x.csv").samples[0], [1.0, -0.5])
+
+
+def test_simulate_steps_below_zero_is_the_count_rule(tmp_path, capsys):
+    rc = main(["simulate", "--model", cardio_model_file(tmp_path), "--x0", "1,0",
+               "--dt", "0.1", "--steps", "-1", "--out", str(tmp_path / "neg")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert err == "error: steps must be a whole number >= 0, got -1\n"
+
+
 def test_simulate_with_input_trace(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path)
     u_path = tmp_path / "u.csv"
@@ -317,6 +366,25 @@ def test_reconstruct_forced_round_trip(tmp_path, capsys):
     assert rc == 0
     got = np.array(json.loads(out)["x0"])
     assert np.linalg.norm(got - [0.8, 0.6]) <= 1e-5
+
+
+def test_reconstruct_refuses_an_input_on_another_grid(tmp_path, capsys):
+    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    y_path, u_path = str(tmp_path / "y.csv"), str(tmp_path / "u.csv")
+    save_trace(Trace(0.0, 0.1, np.ones((11, 1))), y_path)
+    save_trace(Trace(0.0, 0.1, np.ones((5, 1))), u_path)
+    rc = main(["reconstruct", "--model", model_path, y_path, "--input", u_path])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "error: input and output traces must share a grid: 5 vs 11 samples\n"
+
+
+def test_reconstruct_names_a_missing_trace(tmp_path, capsys):
+    path = str(tmp_path / "nope.csv")
+    rc = main(["reconstruct", "--model", cardio_model_file(tmp_path), path])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith(f"error: {path}: cannot read trace file: [Errno 2]")
 
 
 def test_reconstruct_unobservable_exit_code(tmp_path, capsys):

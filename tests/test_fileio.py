@@ -352,6 +352,21 @@ def test_load_trace_reports_offending_line(tmp_path):
         load_trace(str(path))
 
 
+def test_load_trace_names_a_missing_file(tmp_path):
+    path = str(tmp_path / "nope.csv")
+    message = f"{path}: cannot read trace file: [Errno 2]"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        load_trace(path)
+
+
+def test_load_trace_names_a_field_its_reader_refuses(tmp_path):
+    # float() reads "1_0" as 10; numpy's reader does not, and its wording is its own
+    path = tmp_path / "under.csv"
+    path.write_text("t,v1\n0,1_0\n1,2\n2,3\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*'1_0'"):
+        load_trace(str(path))
+
+
 def _reference_load(path):
     """t0, dt and samples as the line route reads a file it accepts: numpy
     parses the non-blank lines after the header, and dt is the mean step."""

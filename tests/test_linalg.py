@@ -164,14 +164,52 @@ def test_solve_rejects_a_ragged_right_hand_side():
         solve(np.eye(2), [[1.0, 2.0], [3.0]])
 
 
+def test_solve_rejects_a_right_hand_side_of_three_dimensions():
+    message = "right-hand side must be 1-D or 2-D, got shape (2, 1, 1)"
+    with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+        solve(np.eye(2), np.ones((2, 1, 1)))
+
+
 def test_as_count_accepts_whole_numbers_only():
     for value in (3, np.int64(3), 3.0, np.float32(3.0), -2, 0.0):
-        got = as_count(value, "steps")
+        got = as_count(value, "steps", -2)
         assert type(got) is int and got == value
     for value in (2.9, -0.5, float("inf"), float("-inf"), float("nan"), True,
                   "3", None, np.array([3])):
-        with pytest.raises(ValueError, match="^steps must be a whole number"):
-            as_count(value, "steps")
+        with pytest.raises(ValueError, match=r"^steps must be a whole number, got "):
+            as_count(value, "steps", -2)
+    for value, least in ((-3, -2), (np.int64(0), 1), (1.0, 2)):
+        message = f"steps must be a whole number >= {least}, got {int(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_count(value, "steps", least)
+
+
+# (site, call, name, least): every count parameter, with the bound as_count holds it to
+COUNT_SITES = [
+    ("simulate_free", lambda v: simulate_free(TABLE, [1.0, -0.5], dt=0.01, steps=v), "steps", 0),
+    ("gramian_ode", lambda v: gramian_ode(TABLE, 1.0, steps=v), "steps", 1),
+    ("gramian_quadrature", lambda v: gramian_quadrature(TABLE, 1.0, intervals=v), "intervals", 2),
+]
+
+
+@pytest.mark.parametrize("site, call, name, least", COUNT_SITES,
+                         ids=[row[0] for row in COUNT_SITES])
+def test_count_sites_share_one_rule(site, call, name, least):
+    message = f"{name} must be a whole number >= {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(least - 1)
+    call(least)
+    call(float(least))
+    for value in (2.5, float("nan"), True, "3"):
+        message = f"{name} must be a whole number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_quadrature_keeps_only_its_evenness_test():
+    for intervals in (3, 3.0, np.int32(3)):
+        with pytest.raises(ValueError, match="^intervals must be even, got 3$"):
+            gramian_quadrature(TABLE, 1.0, intervals=intervals)
 
 
 def test_expm_zero_matrix_is_identity():

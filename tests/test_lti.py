@@ -40,6 +40,8 @@ def test_make_model_rejects_bad_shapes():
         make_model(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(ShapeMismatchError, match="c must be qx2"):
         make_model(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
+    with pytest.raises(ShapeMismatchError, match=r"^a must be at least 1x1$"):
+        make_model(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
     # zoh_discretize refuses b in make_model's words, not np.block's
     with pytest.raises(ShapeMismatchError, match=r"^b must be 2xp with p >= 1 to match a, got 3x1$"):
         zoh_discretize(np.eye(2), np.ones((3, 1)), 0.1)
@@ -107,6 +109,16 @@ def test_trace_rejects_times_that_repeat_or_overflow():
     # a step of one spacing passes, and so does a one-sample trace
     assert Trace(1e17, 16.0, np.zeros((11, 1))).times[-1] == 1e17 + 160
     Trace(1e17, 1.0, np.zeros((1, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_infinite_times_are_compared_not_subtracted():
+    # samples 2 and 3 both overflow to inf; inf - inf would warn before the error
+    message = "t0 = 0.0 and dt = 1e+308 give sample 2 at t = inf: time column must be finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trace(0.0, 1e308, [[1.0]] * 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_free(oscillator(damping=0.5, stiffness=2.0), [1, -0.5], dt=1e308, steps=3)
 
 
 def test_transition_matrix_at_zero_is_identity():

@@ -82,6 +82,14 @@ def test_rank_test_hidden_mode():
     assert rank_test(HIDDEN_MODEL) == (1, False)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_rank_threshold_past_the_float_range_counts_no_singular_value():
+    # 1e308 times the largest singular value overflows to inf, with no warning
+    m = table_model()
+    assert rank_test(m, 1e308) == (0, False)
+    assert analyze(m, 1.0, rank_tol=1e308).kalman_rank == 0
+
+
 def test_rank_test_full_output():
     rng = np.random.default_rng(51)
     m = make_model(rng.standard_normal((4, 4)), np.ones((4, 1)), np.eye(4))
@@ -122,12 +130,12 @@ def test_gramian_quadrature_rejects_bad_arguments():
         gramian_quadrature(m, -1.0)
     with pytest.raises(ValueError):
         gramian_quadrature(m, 1.0, intervals=7)
-    with pytest.raises(ValueError):
-        gramian_quadrature(m, 1.0, intervals=0)
     for intervals in (2.9, float("inf")):
         with pytest.raises(ValueError, match="intervals must be a whole number"):
             gramian_quadrature(m, 1.0, intervals=intervals)
-    with pytest.raises(ValueError, match="intervals must be even and >= 2, got 3"):
+    with pytest.raises(ValueError, match="^intervals must be a whole number >= 2, got 0$"):
+        gramian_quadrature(m, 1.0, intervals=0)
+    with pytest.raises(ValueError, match="^intervals must be even, got 3$"):
         gramian_quadrature(m, 1.0, intervals=3.0)
 
 
@@ -300,7 +308,7 @@ def test_gramian_ode_rejects_bad_arguments():
     m = table_model()
     with pytest.raises(ValueError):
         gramian_ode(m, 0.0)
-    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="^steps must be a whole number >= 1, got 0$"):
         gramian_ode(m, 1.0, steps=0)
     for steps in (2.9, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="steps must be a whole number"):
