@@ -42,16 +42,12 @@ from observkit.observability import (  # noqa: F401
 __all__ = ["main"]
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; this CLI reserves 2 for
     domain verdicts, so usage problems are rerouted to exit 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _style(text: str, color: str) -> str:
@@ -106,12 +102,12 @@ def _cmd_simulate(args) -> int:
     u = None if args.input is None else load_trace(args.input)
     if u is not None:
         if args.dt is not None or args.steps is not None or args.t0 is not None:
-            raise _UsageError("--dt/--steps/--t0 conflict with --input; "
-                              "the input trace fixes the grid")
+            raise ValueError("--dt/--steps/--t0 conflict with --input; "
+                             "the input trace fixes the grid")
         xs, ys = simulate_forced(model, x0, u)
     else:
         if args.dt is None or args.steps is None:
-            raise _UsageError("--dt and --steps are required without --input")
+            raise ValueError("--dt and --steps are required without --input")
         t0 = 0.0 if args.t0 is None else args.t0
         xs, ys = simulate_free(model, x0, t0=t0, dt=args.dt, steps=args.steps)
     for suffix, trace in (("x", xs), ("y", ys)):

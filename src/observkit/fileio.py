@@ -370,16 +370,13 @@ def load_trace(path: str) -> Trace:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: cannot read trace file: {exc}") from None
 
-    table = _read_trace(path, data)
-    raw_lines = decode() if table is None else None
-
     def fail(row: int, message: str) -> ParseError:  # at the row-th non-blank line
-        lines = decode() if raw_lines is None else raw_lines
-        line_no = [i + 1 for i, line in enumerate(lines) if line.strip()][row]
+        line_no = [i + 1 for i, line in enumerate(decode()) if line.strip()][row]
         return ParseError(f"{path}: line {line_no}: {message}")
 
+    table = _read_trace(path, data)
     if table is None:
-        rows = [line for line in raw_lines if line.strip()]
+        rows = [line for line in decode() if line.strip()]
         if not rows:
             raise ParseError(f"{path}: empty trace file")
 
@@ -388,7 +385,9 @@ def load_trace(path: str) -> Trace:
                 parts = line.split(",")
                 if len(parts) != width + 1:
                     raise fail(k, f"expected {width + 1} fields, got {len(parts)}")
-                try:
+                try:  # numpy's field rule: float()'s, less "_" and non-ASCII text
+                    if any("_" in part or not part.strip().isascii() for part in parts):
+                        raise ValueError(line)
                     row = [float(part) for part in parts]
                 except ValueError:
                     raise fail(k, "non-numeric field") from None

@@ -252,7 +252,9 @@ def solve(m, rhs) -> tuple[np.ndarray, float]:
 
     Raises :class:`SingularMatrixError` (carrying that condition number)
     when the smallest singular value is at most the largest times the
-    default tolerance of :func:`rank`, machine epsilon times the dimension.
+    default tolerance of :func:`rank`, machine epsilon times the dimension,
+    or is subnormal (below ``np.finfo(float).tiny``), with too few bits
+    left to solve with.
     """
     m = as_square(m)
     rhs_arr = _as_array(rhs, "right-hand side")
@@ -265,9 +267,9 @@ def solve(m, rhs) -> tuple[np.ndarray, float]:
     smax = float(s[0]) if s.size else 0.0
     smin = float(s[-1]) if s.size else 0.0
     cond = float("inf") if smin == 0.0 else smax / smin
-    if smax == 0.0 or smin <= rel_tol * smax:
+    if smin <= rel_tol * smax or smin < np.finfo(float).tiny:  # also smax == 0
         raise SingularMatrixError(
-            f"matrix is singular at relative tolerance {rel_tol:.3e} "
-            f"(condition estimate {cond:.3e}, smallest singular value {smin:.3e})",
+            f"matrix is singular: its smallest singular value {smin:.3e} is subnormal or at "
+            f"most {rel_tol:.3e} times the largest (condition estimate {cond:.3e})",
             condition=cond, min_singular_value=smin)
     return np.linalg.solve(m, rhs_arr), cond

@@ -9,6 +9,11 @@ solution x(t) = e^{At} x(0) + integral of e^{A(t-s)} B u(s) ds on a
 uniform grid; sampled inputs are interpreted as zero-order hold
 (constant between samples), which makes the per-step update exact up
 to matrix-exponential accuracy.  Every grid recurrence runs on :func:`propagate`.
+
+:func:`make_model` alone decides whether (A, B, C) is a model, and
+:func:`simulate_forced` alone whether an initial state fits one; the
+functions that take a model, :func:`zoh_discretize` among them, do not
+check its arrays again.
 """
 
 from __future__ import annotations
@@ -162,6 +167,10 @@ class Trace(Record):
 def make_model(a, b, c, name: str = "") -> StateSpaceModel:
     """Validate shapes and build a model.
 
+    This is the one owner of a model's shape rules: the arrays it stores
+    are finite, read-only float arrays, and no function that takes the
+    model checks them again.
+
     Args:
         a: system matrix, n x n.
         b: input matrix, n x p with p >= 1.
@@ -178,7 +187,9 @@ def make_model(a, b, c, name: str = "") -> StateSpaceModel:
     n = a.shape[0]
     if n == 0:
         raise ShapeMismatchError("a must be at least 1x1")
-    _check_input_matrix(b, n)
+    if b.shape[0] != n or b.shape[1] < 1:
+        raise ShapeMismatchError(
+            f"b must be {n}xp with p >= 1 to match a, got {b.shape[0]}x{b.shape[1]}")
     if c.shape[1] != n or c.shape[0] < 1:
         raise ShapeMismatchError(
             f"c must be qx{n} with q >= 1 to match a, got {c.shape[0]}x{c.shape[1]}")
@@ -187,25 +198,10 @@ def make_model(a, b, c, name: str = "") -> StateSpaceModel:
     return StateSpaceModel(a=a, b=b, c=c, name=str(name))
 
 
-def _check_input_matrix(b: np.ndarray, n: int) -> None:
-    """Refuse an input matrix ``b`` that is not n x p with p >= 1, the
-    shape that matches an n x n ``a``."""
-    if b.shape[0] != n or b.shape[1] < 1:
-        raise ShapeMismatchError(
-            f"b must be {n}xp with p >= 1 to match a, got {b.shape[0]}x{b.shape[1]}")
-
-
 def transition_matrix(m: StateSpaceModel, t: float) -> np.ndarray:
     """State transition matrix Phi(t) = exp(A t), so x(t) = Phi(t) x(0)
     for the free system.  Phi(0) is the identity."""
     return expm(m.a, t)
-
-
-def _check_x0(m: StateSpaceModel, x0) -> np.ndarray:
-    x0 = as_vector(x0, "x0")
-    if x0.size != m.n:
-        raise ShapeMismatchError(f"x0 must have width {m.n}, got {x0.size}")
-    return x0
 
 
 def propagate(phi, v, stage: str) -> np.ndarray:
@@ -254,24 +250,17 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     return simulate_forced(m, x0, Trace(t0, dt, np.zeros((steps + 1, m.p))))
 
 
-def zoh_discretize(a, b, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of (A, B) at step dt.
+def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization of the model's (A, B) at step dt.
 
     Returns (A_d, B_d) such that x(t + dt) = A_d x(t) + B_d u when u is
     held constant over the step.  Both come from one exponential of the
     augmented block matrix [[A, B], [0, 0]] * dt, whose top row blocks
-    are exactly A_d and B_d.
-
-    Raises:
-        ShapeMismatchError: ``a`` is not square or ``b`` is not n x p
-            with p >= 1, worded as :func:`make_model` words it.
+    are exactly A_d and B_d.  The model's arrays were validated by
+    :func:`make_model`, so nothing here converts or checks them again.
     """
-    a = as_square(a, "a")
-    b = as_matrix(b, "b")
-    n, p = a.shape[0], b.shape[1]
-    _check_input_matrix(b, n)
-    big = expm(np.block([[a, b], [np.zeros((p, n + p))]]), dt)
-    return big[:n, :n], big[:n, n:]
+    big = expm(np.block([[m.a, m.b], [np.zeros((m.p, m.n + m.p))]]), dt)
+    return big[:m.n, :m.n], big[:m.n, m.n:]
 
 
 def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
@@ -285,14 +274,18 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     :func:`zoh_discretize`, and only when a held sample u_0 ... u_{N-2} is
     nonzero, so a response without input never exponentiates B (whose
     block may be too large to scale).  The returned traces share the
-    input's grid.
+    input's grid.  This function alone decides whether x0 fits the model:
+    it is converted by :func:`~observkit.linalg.as_vector` and must have
+    n entries.
     """
-    x0 = _check_x0(m, x0)
+    x0 = as_vector(x0, "x0")
+    if x0.size != m.n:
+        raise ShapeMismatchError(f"x0 must have width {m.n}, got {x0.size}")
     if u.width != m.p:
         raise ShapeMismatchError(f"input trace must have width {m.p}, got {u.width}")
     v = np.zeros((u.samples.shape[0], m.n))
     v[0] = x0
     if u.samples[:-1].any():
-        v[1:] = u.samples[:-1] @ zoh_discretize(m.a, m.b, u.dt)[1].T
+        v[1:] = u.samples[:-1] @ zoh_discretize(m, u.dt)[1].T
     xs = propagate(expm(m.a, u.dt), v, "simulate")
     return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, xs @ m.c.T)

@@ -364,14 +364,31 @@ def reconstruct_with_condition(m: StateSpaceModel, y: Trace, u: Trace | None = N
     number of the symmetric Gramian of the normal equations it solved, as
     (x0, condition).  The condition comes from the singular values that
     :func:`~observkit.linalg.solve` takes to check the Gramian, so it costs
-    nothing more."""
+    nothing more.
+
+    The normal equations are formed with C and the output samples scaled
+    by 2^-e, where 2^(e-1) <= max|C| < 2^e.  The scaling is exact; it
+    scales the Gramian and the moment by the same 2^-2e, so x0 and the
+    condition do not change, and the Gramian stays in the normal float
+    range whatever the output's units.  A :class:`SingularGramianError`
+    carries the smallest singular value of that scaled Gramian.
+
+    Raises:
+        NonFiniteError: a scaled output sample is past the float range.
+    """
     if horizon is not None:
         horizon = as_float(horizon, "horizon", "positive")
         span = y.duration
         if not times_agree(span, horizon, max(span, horizon), y.t0, y.t0 + span):
             raise ValueError(
                 f"trace spans {span:.12g} but horizon {horizon:.12g} was requested")
-    gram, moment = reconstruction_normal_equations(m, y, u)
+    e = math.frexp(float(np.abs(m.c).max()))[1]
+    with np.errstate(over="ignore"):
+        samples = np.ldexp(y.samples, -e)
+    if not np.isfinite(samples).all():
+        raise NonFiniteError(f"reconstruct: an output sample times 2^{-e} is past the float range")
+    gram, moment = reconstruction_normal_equations(
+        StateSpaceModel(m.a, m.b, np.ldexp(m.c, -e)), Trace(y.t0, y.dt, samples), u)
     try:
         return solve(gram, moment)
     except SingularMatrixError as exc:

@@ -242,7 +242,9 @@ def test_analyze_gramian_near_the_float_limit(tmp_path, capsys):
 
 def test_reconstruct_gramian_near_the_float_limit(tmp_path, capsys):
     # the sampled Gramian reaches 1.1e308 and is symmetrized without
-    # overflow, so x0 is recovered with no RuntimeWarning
+    # overflow, so x0 is recovered with no RuntimeWarning; reconstruct
+    # solves it with C scaled by 2^-512, a Gramian near 1, and each entry
+    # of x0 is within 1 ulp of (1, 0.5)
     path = str(tmp_path / "bigc.json")
     prefix = str(tmp_path / "nm")
     save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.3e154, 0.0]]), path)
@@ -254,7 +256,23 @@ def test_reconstruct_gramian_near_the_float_limit(tmp_path, capsys):
         assert main(["reconstruct", "--model", path, prefix + "_y.csv"]) == 0
     out, err = capsys.readouterr()
     assert err == "reconstructed x0 over [0, 1] (Gramian condition 3.351e+00)\n"
-    assert json.loads(out)["x0"] == [1.0, 0.49999999999999978]
+    assert json.loads(out)["x0"] == [0.99999999999999978, 0.5]
+
+
+def test_reconstruct_a_tiny_output_map(tmp_path, capsys):
+    # C = [[0, 1e-160]] gives a subnormal sampled Gramian unless C is
+    # scaled first: x0 is recovered, where it read (0.7475, -1.0462)
+    path = str(tmp_path / "tiny.json")
+    prefix = str(tmp_path / "tiny")
+    save_model(make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], [[0.0, 1e-160]]), path)
+    assert main(["simulate", "--model", path, "--x0", "1,-0.5", "--dt", "1e-3",
+                 "--steps", "1000", "--out", prefix]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--model", path, prefix + "_y.csv"]) == 0
+    np.testing.assert_allclose(json.loads(capsys.readouterr().out)["x0"], [1.0, -0.5],
+                               rtol=0, atol=1e-12)
 
 
 def test_simulate_usage_errors(tmp_path, capsys):

@@ -360,11 +360,43 @@ def test_load_trace_names_a_missing_file(tmp_path):
 
 
 def test_load_trace_names_a_field_its_reader_refuses(tmp_path):
-    # float() reads "1_0" as 10; numpy's reader does not, and its wording is its own
+    # float() reads "1_0" as 10; numpy's reader does not, and the line
+    # route's field check refuses it as numpy does, naming its line
     path = tmp_path / "under.csv"
     path.write_text("t,v1\n0,1_0\n1,2\n2,3\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*'1_0'"):
-        load_trace(str(path))
+    for given in (str(path), path):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-numeric field$"):
+            load_trace(given)
+
+
+# the characters of the field-rule differential: a field is one to six of
+# them, so about a quarter of the fields are numbers numpy's reader takes
+_FIELD_PIECES = (list("0123456789") * 2 + list(".eE+-_")
+                 + ["inf", "nan", "i", "n", "f", "a", "y", "t",
+                    "\uff11", "\u0663", "\u00b2", "\u00a0", "\u3000", "\t", " "])
+
+
+def test_line_route_field_rule_is_numpys(tmp_path):
+    # the line route refuses a field exactly when numpy's reader does:
+    # float()'s rule, less "_" and non-ASCII text left after stripping.
+    # A one-row file goes through that check whatever its field, and says
+    # "non-numeric field" only for a field the check refuses
+    rng = np.random.default_rng(69)
+    path = tmp_path / "field.csv"
+    refused = 0
+    for _ in range(1000):
+        field = "".join(rng.choice(_FIELD_PIECES, int(rng.integers(1, 7))))
+        try:
+            np.loadtxt([f"0,{field}"], delimiter=",", comments=None, ndmin=2)
+            numpy_refuses = False
+        except ValueError:
+            numpy_refuses = True
+        path.write_text(f"t,v1\n0,{field}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_trace(str(path))
+        assert str(info.value).endswith("line 2: non-numeric field") == numpy_refuses, field
+        refused += numpy_refuses
+    assert 500 < refused < 900  # the sample holds both kinds
 
 
 def _reference_load(path):

@@ -58,7 +58,7 @@ def test_as_matrix_and_as_vector_reject_an_int_past_the_float_range():
 # Each expected message follows from the name and the sign word alone.
 SCALAR_SITES = [
     ("expm-t", lambda x: expm(np.eye(2), x), "time", ""),
-    ("zoh_discretize-dt", lambda x: zoh_discretize(TABLE.a, TABLE.b, x), "time", ""),
+    ("zoh_discretize-dt", lambda x: zoh_discretize(TABLE, x), "time", ""),
     ("Trace-t0", lambda x: Trace(x, 1.0, [[1.0], [2.0]]), "t0", ""),
     ("Trace-dt", lambda x: Trace(0.0, x, [[1.0], [2.0]]), "dt", "positive"),
     ("simulate_free-dt", lambda x: simulate_free(TABLE, [1.0, 0.0], dt=x, steps=3),
@@ -524,6 +524,21 @@ def test_solve_singular_error_carries_diagnostics():
         solve(singular, [1.0, 1.0])
     assert info.value.min_singular_value < 1e-12
     assert info.value.condition > 1e12
+
+
+def test_solve_refuses_a_subnormal_smallest_singular_value():
+    # s_min = s_max: no relative test can refuse this matrix, but a
+    # subnormal pivot leaves too few bits to solve with (numpy returns
+    # [nan, inf] here), so it is singular, and the message names s_min
+    tiny = np.array([[5e-324, 0.0], [0.0, 5e-324]])
+    with pytest.raises(SingularMatrixError, match=r"smallest singular value 4\.941e-324 is subnormal"
+                       ) as info:
+        solve(tiny, [1.0, 1.0])
+    assert info.value.min_singular_value == 5e-324
+    assert info.value.condition == 1.0
+    # the smallest normal float still solves
+    x, condition = solve(np.diag([np.finfo(float).tiny] * 2), [1.0, 1.0])
+    assert np.isfinite(x).all() and condition == 1.0
 
 
 def test_solve_shape_errors():

@@ -42,9 +42,8 @@ def test_make_model_rejects_bad_shapes():
         make_model(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
     with pytest.raises(ShapeMismatchError, match=r"^a must be at least 1x1$"):
         make_model(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
-    # zoh_discretize refuses b in make_model's words, not np.block's
-    with pytest.raises(ShapeMismatchError, match=r"^b must be 2xp with p >= 1 to match a, got 3x1$"):
-        zoh_discretize(np.eye(2), np.ones((3, 1)), 0.1)
+    with pytest.raises(ShapeMismatchError, match=r"^b must be 2xp with p >= 1 to match a, got 2x0$"):
+        make_model(np.eye(2), np.ones((2, 0)), np.ones((1, 2)))
 
 
 
@@ -212,13 +211,13 @@ def test_simulate_free_rejects_bad_arguments():
 
 
 def test_zoh_discretize_zero_dynamics():
-    ad, bd = zoh_discretize(np.zeros((2, 2)), [[1.0], [2.0]], 0.25)
+    ad, bd = zoh_discretize(make_model(np.zeros((2, 2)), [[1.0], [2.0]], [[1.0, 0.0]]), 0.25)
     np.testing.assert_allclose(ad, np.eye(2), rtol=0, atol=1e-15)
     np.testing.assert_allclose(bd, [[0.25], [0.5]], rtol=0, atol=1e-15)
 
 
 def test_zoh_discretize_scalar_closed_form():
-    ad, bd = zoh_discretize([[-1.0]], [[1.0]], 0.1)
+    ad, bd = zoh_discretize(make_model([[-1.0]], [[1.0]], [[1.0]]), 0.1)
     np.testing.assert_allclose(ad, [[np.exp(-0.1)]], rtol=1e-14)
     np.testing.assert_allclose(bd, [[1.0 - np.exp(-0.1)]], rtol=1e-13)
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -600,6 +601,64 @@ def test_reconstruct_gramian_near_the_float_limit():
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_allclose(x0, [1.0, 0.5], rtol=1e-12)
     assert 3.35 < condition < 3.36
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-162, 1e-200, 1e-300])
+def test_reconstruct_a_tiny_output_map(scale):
+    # unscaled, the sampled Gramian of C = [[0, 1e-160]] is subnormal (its
+    # singular values 8e-321 and 1.5e-321), and below that it is 0;
+    # reconstruct scales C by a power of two, so the output's units do not
+    # matter
+    m = make_model(table_model().a, [[0.0], [1.0]], [[0.0, scale]])
+    _, ys = simulate_free(m, [1.0, -0.5], 0.0, 1e-3, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0, condition = reconstruct_with_condition(m, ys)
+    np.testing.assert_allclose(x0, [1.0, -0.5], rtol=0, atol=1e-13)
+    _, want = reconstruct_with_condition(table_model(), simulate_free(
+        table_model(), [1.0, -0.5], 0.0, 1e-3, 1000)[1])
+    assert condition == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reconstruct_is_bit_invariant_under_power_of_two_output_scaling(seed):
+    # C -> 2^j C scales every output sample by 2^j exactly, and reconstruct
+    # scales both back by a power of two: x0 and the condition keep their bits
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m = random_observable_model(rng, n)
+    x0 = rng.standard_normal(n)
+    u = Trace(0.0, 1e-2, rng.standard_normal((101, 1))) if seed % 2 else None
+    _, ys = simulate_forced(m, x0, u) if u else simulate_free(m, x0, 0.0, 1e-2, 100)
+    want_x0, want_condition = reconstruct_with_condition(m, ys, u)
+    for j in range(-20, 21):
+        scaled = make_model(m.a, m.b, np.ldexp(m.c, j))
+        got_x0, got_condition = reconstruct_with_condition(
+            scaled, Trace(ys.t0, ys.dt, np.ldexp(ys.samples, j)), u)
+        np.testing.assert_array_equal(got_x0, want_x0)
+        assert got_condition == want_condition
+
+
+@pytest.mark.parametrize("j", [-500, 500])
+def test_reconstruct_at_far_output_scales(j):
+    m = make_model(table_model().a, [[0.0], [1.0]], [[0.0, math.ldexp(1.0, j)]])
+    _, ys = simulate_free(m, [1.0, -0.5], 0.0, 1e-3, 1000)
+    _, want = simulate_free(table_model(), [1.0, -0.5], 0.0, 1e-3, 1000)
+    x0 = reconstruct_initial_state(m, ys)
+    np.testing.assert_array_equal(x0, reconstruct_initial_state(table_model(), want))
+    np.testing.assert_allclose(x0, [1.0, -0.5], rtol=0, atol=1e-13)
+
+
+def test_reconstruct_names_a_scaled_sample_past_the_float_range():
+    # C of 1e-300 scales the samples by 2^996; a sample of 1e10 then
+    # passes the float range, which reconstruct names with no RuntimeWarning
+    m = make_model(table_model().a, [[0.0], [1.0]], [[0.0, 1e-300]])
+    ys = Trace(0.0, 1e-2, np.full((11, 1), 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError,
+                           match=r"^reconstruct: an output sample times 2\^996 is past the float range$"):
+            reconstruct_with_condition(m, ys)
 
 
 def test_reconstruct_zero_trace_gives_zero_state():
