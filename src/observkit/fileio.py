@@ -14,6 +14,10 @@ Model document:  {"name": ..., "a": [[...]], "b": [[...]], "c": [[...]]}
 Trace file:      header "t,v1,...,vw", one comma-separated row per sample,
                  t column strictly increasing and uniformly spaced
                  (every step agreeing with the first by ``lti.times_agree``).
+                 A line ends at "\\n", "\\r\\n" or "\\r", as ``open``
+                 translates them, on both of ``load_trace``'s read routes;
+                 any other control character, such as "\\f", is whitespace
+                 inside a field, as numpy's reader takes it.
 """
 
 from __future__ import annotations
@@ -129,16 +133,20 @@ def load_model(path: str) -> StateSpaceModel:
 def save_trace(trace: Trace, path: str) -> None:
     """Write a trace as CSV with header t,v1,...,vw.
 
-    Every :class:`~observkit.lti.Trace` of two or more samples loads
-    again, since ``Trace`` itself rejects a grid whose times would repeat.
+    Every :class:`~observkit.lti.Trace` of two or more samples and one or
+    more value columns loads again, since ``Trace`` itself rejects a grid
+    whose times would repeat.
 
     Raises:
-        ValueError: the trace has fewer than two samples, which
-            :func:`load_trace` could not read back; nothing is written.
+        ValueError: the trace has fewer than two samples or no value
+            column, which :func:`load_trace` could not read back; nothing
+            is written.
     """
     if trace.samples.shape[0] < 2:
         raise ValueError(f"{path}: a trace needs at least two samples for load_trace to "
                          f"infer its time step, got {trace.samples.shape[0]}; nothing written")
+    if not trace.width:
+        raise ValueError(f"{path}: load_trace needs a value column, got none; nothing written")
     header = "t," + ",".join(f"v{i + 1}" for i in range(trace.width))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
@@ -291,57 +299,55 @@ def _grid_fault(times: np.ndarray) -> tuple[int, str] | None:
                    f"non-uniform time step {float(steps[k])!r}, expected {float(steps[0])!r}")
 
 
-# str.splitlines also ends a line at these ASCII bytes; numpy's reader does not
-_LINE_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # numpy opens a path with one of these suffixes through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _NON_SPACE = re.compile(rb"\S")
 
 
-def _read_trace(path: str, data: bytes) -> np.ndarray | None:
-    """numpy's table of the data rows of the file at ``path``, whose bytes
-    are ``data``, parsed from the path; None when the file must go through
-    :func:`load_trace`'s line route.
+def _read_trace(path: str, data: bytes) -> tuple[int, np.ndarray] | None:
+    """The header's width and numpy's table of the data rows of the file at
+    ``path``, whose bytes are ``data``, parsed from the path; None when the
+    file must go through :func:`load_trace`'s line route.
 
-    numpy opens the path as ``open`` does, in text mode, so a table read
-    here is the one the line route would parse.  It declines a file whose
-    lines could split otherwise than ``splitlines`` splits them (bytes past
-    ASCII, or the control characters of ``_LINE_BREAKS``), and a path that
-    numpy would not open again as the same plain local file: a compressed
-    suffix, a scheme and host (``://``), which it would fetch as a URL, or
-    anything but a regular file, such as a pipe the first read emptied.  It
-    also declines a file whose line 1 is not the header, one with no data
-    row, which numpy warns on, one numpy refuses (it refuses by itself a
-    whitespace-only line, which the line route skips), and a table of fewer
-    than two rows or of a width other than the header's, so that the line
-    route names the line at fault.  The table's values are not checked.
+    numpy opens the path as ``open`` does, in text mode with its newline
+    translation, and ends a line where the line route does, at "\\n",
+    "\\r\\n" or "\\r", so a table read here is the one the line route would
+    parse.  It declines a file with no "\\n", and a path that numpy would
+    not open again as the same plain local file: not a ``str`` or
+    ``os.PathLike``, a compressed suffix, a scheme and host (``://``), which
+    it would fetch as a URL, or anything but a regular file, such as a pipe
+    the first read emptied.  It also declines a file whose line 1 is not the
+    header, one with no data row, which numpy warns on, and one numpy
+    refuses: it refuses by itself a whitespace-only line, which the line
+    route skips, and text it cannot decode, which the line route names.
+    Neither the table's shape nor its values are checked here.
     """
     end = data.find(b"\n")
-    if end < 0 or not data.isascii() or any(c in data for c in _LINE_BREAKS):
-        return None
     if isinstance(path, os.PathLike):
         path = os.fspath(path)
-    if (not isinstance(path, str) or path.endswith(_COMPRESSED) or "://" in path
+    if (end < 0 or not isinstance(path, str) or path.endswith(_COMPRESSED) or "://" in path
             or not os.path.isfile(path)):
         return None
-    width = _header_width(data[:end].decode())
+    # line 1 ends at "\r" too; latin-1 keeps the commas of any ASCII-based text
+    width = _header_width(data[:end].decode("latin-1").split("\r")[0])
     if not width or not _NON_SPACE.search(data, end):
         return None
     try:
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        return width, np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
     except (OSError, ValueError):  # OSError: the file went away since it was read
         return None
-    return table if table.shape[0] >= 2 and table.shape[1] == width + 1 else None
 
 
 def load_trace(path: str) -> Trace:
     """Parse and validate a CSV trace file.
 
-    The time column must be strictly increasing, every step counted, and
-    uniformly spaced: each step must agree with the first by
-    :func:`~observkit.lti.times_agree`.  The time step is the mean step,
-    (t_last - t_first) / (rows - 1), since one step carries the rounding
-    of two times, and the grid it gives must pass
+    A line ends at "\\n", "\\r\\n" or "\\r", as ``open`` translates them;
+    other control characters, such as "\\f" or "\\u2028", are whitespace
+    inside a field, as numpy's reader takes them.  The time column must be
+    strictly increasing, every step counted, and uniformly spaced: each step
+    must agree with the first by :func:`~observkit.lti.times_agree`.  The
+    time step is the mean step, (t_last - t_first) / (rows - 1), since one
+    step carries the rounding of two times, and the grid it gives must pass
     :class:`~observkit.lti.Trace`'s own rule.  At least two rows are
     required, since a single row cannot determine the time step.  Blank
     lines are skipped, and fields may carry surrounding spaces.
@@ -349,14 +355,17 @@ def load_trace(path: str) -> Trace:
     The table comes from one of two routes.  When :func:`_read_trace`
     accepts the file, numpy's reader has parsed the data rows straight from
     the path.  Otherwise the line route decodes the bytes as ``open``
-    would, skips whitespace-only lines, checks the header, the row count
-    and each row's fields, and parses the rest.  Either table then meets
-    the same checks of its values and its grid, once.  The file's lines
-    are decoded only for the line route, or to name the line of an error.
+    would, skips whitespace-only lines, checks the header and parses the
+    rest; only when numpy refuses those lines does it scan each row's
+    fields, to name the first bad one.  Either table then meets the same
+    checks, once, in this order: its field count, its values' finiteness,
+    its row count, its grid and ``Trace``.  The file's lines are decoded
+    only for the line route, or to name the line of an error.
 
     Raises:
-        ParseError: with the offending line number, or naming the file
-            when it cannot be read or decoded as ``open`` would.
+        ParseError: with the offending line number, counting "\\n"-ended
+            lines as editors do, or naming the file when it cannot be read
+            or decoded as ``open`` would.
     """
     try:
         with open(path, "rb") as fh:
@@ -366,7 +375,7 @@ def load_trace(path: str) -> Trace:
 
     def decode() -> list[str]:
         try:
-            return io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+            return io.TextIOWrapper(io.BytesIO(data)).read().split("\n")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: cannot read trace file: {exc}") from None
 
@@ -374,44 +383,41 @@ def load_trace(path: str) -> Trace:
         line_no = [i + 1 for i, line in enumerate(decode()) if line.strip()][row]
         return ParseError(f"{path}: line {line_no}: {message}")
 
-    table = _read_trace(path, data)
+    width, table = _read_trace(path, data) or (0, None)
     if table is None:
         rows = [line for line in decode() if line.strip()]
         if not rows:
             raise ParseError(f"{path}: empty trace file")
-
-        def check_fields() -> None:  # raises at the first bad data row
+        width = _header_width(rows[0])
+        if not width:
+            raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
+        try:  # with no data row, an empty table: numpy's reader would warn
+            table = (np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2) if rows[1:]
+                     else np.empty((0, width + 1)))
+        except ValueError as exc:  # name the first bad data row
             for k, line in enumerate(rows[1:], 1):
-                parts = line.split(",")
+                parts = [part.strip() for part in line.split(",")]
                 if len(parts) != width + 1:
-                    raise fail(k, f"expected {width + 1} fields, got {len(parts)}")
+                    raise fail(k, f"expected {width + 1} fields, got {len(parts)}") from None
                 try:  # numpy's field rule: float()'s, less "_" and non-ASCII text
-                    if any("_" in part or not part.strip().isascii() for part in parts):
+                    if any("_" in part or not part.isascii() for part in parts):
                         raise ValueError(line)
                     row = [float(part) for part in parts]
                 except ValueError:
                     raise fail(k, "non-numeric field") from None
                 if not all(math.isfinite(x) for x in row):
-                    raise fail(k, "non-finite value")
-
-        width = _header_width(rows[0])
-        if not width:
-            raise fail(0, f"header must be 't,v1,...,vw', got {rows[0]!r}")
-        if len(rows) < 3:
-            check_fields()
-            raise ParseError(f"{path}: need at least two samples to infer the "
-                             f"time step, got {len(rows) - 1}")
-        try:
-            table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            check_fields()
+                    raise fail(k, "non-finite value") from None
             raise ParseError(f"{path}: {exc}") from None
-        if table.shape[1] != width + 1:
-            check_fields()  # raises: every row has the wrong field count
-    # the header is non-blank line 0, so table row k is non-blank line k + 1
+    # the header is non-blank line 0, so table row k is non-blank line k + 1;
+    # numpy's reader reads one field count for every row
+    if table.shape[1] != width + 1:
+        raise fail(1, f"expected {width + 1} fields, got {table.shape[1]}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise fail(int(np.argmin(finite)) + 1, "non-finite value")
+    if len(table) < 2:
+        raise ParseError(f"{path}: need at least two samples to infer the time step, "
+                         f"got {len(table)}")
     fault = _grid_fault(table[:, 0])
     if fault:
         raise fail(fault[0] + 1, fault[1])

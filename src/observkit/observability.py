@@ -306,7 +306,8 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
                        u.t0, y.t0, u.t0 + u.duration, y.t0 + y.duration).all():
         raise ValueError("input and output traces must share a grid (t0 and dt)")
     _, y_forced = simulate_forced(m, np.zeros(m.n), u)
-    return y.samples - y_forced.samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _weighted_sums names an overflow
+        return y.samples - y_forced.samples
 
 
 def reconstruction_normal_equations(

@@ -271,6 +271,15 @@ def test_save_trace_refuses_a_single_sample(tmp_path):
     assert not path.exists()
 
 
+def test_save_trace_refuses_a_trace_with_no_value_column(tmp_path):
+    # "t,\n0\n1\n2\n" would not load again: its rows hold one field, not two
+    path = tmp_path / "none.csv"
+    with pytest.raises(ValueError, match="load_trace needs a value column, got none; "
+                                         "nothing written$"):
+        save_trace(Trace(0.0, 1.0, np.zeros((3, 0))), str(path))
+    assert not path.exists()
+
+
 def test_load_trace_names_the_line_of_a_repeated_time(tmp_path):
     # floats are 16 apart at 1e17, so the zero step lies within the 8-ulp
     # allowance of the first; still, no time may repeat
@@ -401,13 +410,17 @@ def test_line_route_field_rule_is_numpys(tmp_path):
 
 def _reference_load(path):
     """t0, dt and samples as the line route reads a file it accepts: numpy
-    parses the non-blank lines after the header, and dt is the mean step."""
+    parses the non-blank "\\n"-ended lines after the header, and dt is the
+    mean step."""
     with open(path) as fh:
-        rows = [line for line in fh.read().splitlines() if line.strip()]
+        rows = [line for line in fh.read().split("\n") if line.strip()]
     table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
     return table[0, 0], (table[-1, 0] - table[0, 0]) / (len(table) - 1), table[:, 1:]
 
 
+# str.splitlines ends a line at each of these; numpy's reader and the line
+# route take them for whitespace inside a field
+_CONTROLS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _magnitudes = st.floats(1e-300, 1e300)
 _values = (st.builds(lambda x, sign: sign * x, _magnitudes, st.sampled_from([1.0, -1.0]))
            | st.sampled_from([0.0, -0.0]))
@@ -416,10 +429,11 @@ _values = (st.builds(lambda x, sign: sign * x, _magnitudes, st.sampled_from([1.0
 @settings(max_examples=150, deadline=None)
 @given(grid=_grids(), count=st.integers(2, 20), width=st.integers(1, 3), spaced=st.booleans(),
        crlf=st.booleans(), blank_after=st.sets(st.integers(0, 20)),
-       whitespace_after=st.none() | st.integers(0, 20), data=st.data())
+       whitespace_after=st.none() | st.integers(0, 20),
+       control=st.none() | st.sampled_from(_CONTROLS), data=st.data())
 def test_both_trace_routes_read_what_the_line_route_reads(tmp_path_factory, grid, count, width,
                                                           spaced, crlf, blank_after,
-                                                          whitespace_after, data):
+                                                          whitespace_after, control, data):
     values = data.draw(st.lists(_values, min_size=count * width, max_size=count * width))
     try:
         trace = Trace(*grid, np.reshape(values, (count, width)))
@@ -430,6 +444,9 @@ def test_both_trace_routes_read_what_the_line_route_reads(tmp_path_factory, grid
     lines = path.read_text().splitlines()
     if spaced:
         lines = [" " + line.replace(",", " ,  ") + "\t" for line in lines]
+    if control:  # padded into the whitespace after one row's time field
+        row = data.draw(st.integers(1, count))
+        lines[row] = lines[row].replace(",", f" {control} ,", 1)
     # empty lines, and maybe one whitespace-only line, after line k
     out = []
     for k, line in enumerate(lines):
@@ -487,6 +504,11 @@ def test_load_trace_parses_a_numpy_route_file_once(tmp_path, monkeypatch):
         "binade.csv": ("t,v1\n" + "".join(f"{t!r},0\n" for t in times),
                        "t0 = 1.4411518807585571e+17 and dt = 24.0 give sample 10 at "
                        "t = 1.4411518807585594e+17: time column must be strictly increasing"),
+        "one.csv": ("t,v1\n0,1\n", "need at least two samples to infer the time step, got 1"),
+        "one_inf.csv": ("t,v1\n0,inf\n", "line 2: non-finite value"),
+        "wide.csv": ("t,v1\n0,1,2\n1,2,3\n", "line 2: expected 2 fields, got 3"),
+        # "\f" is whitespace in a field, not a line end: the editor's line 4
+        "formfeed.csv": ("t,v1\n0 \f,1\n0.5,2\n1,inf\n", "line 4: non-finite value"),
     }
     calls = _spy_on_loadtxt(monkeypatch)
     for name, (text, message) in cases.items():
@@ -587,14 +609,25 @@ def test_load_trace_reads_a_pipe_once(tmp_path):
         os.close(read_end)
     assert back.samples.tobytes() == trace.samples.tobytes()
 
-def test_load_trace_breaks_lines_where_splitlines_does(tmp_path):
-    # numpy's reader takes these characters for spaces inside a field, and
-    # accepts "0 \f,1" as the row (0, 1); str.splitlines ends the line there
+
+def test_load_trace_breaks_lines_where_numpy_does(tmp_path):
+    # a line ends at "\n", "\r\n" or "\r" on both routes, and numpy's reader
+    # takes these characters for spaces inside a field, as in "0 \f,1"; a
+    # whitespace-only line, or a plain file named *.gz, takes the line route
     path = tmp_path / "breaks.csv"
-    for char in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
-        path.write_text(f"t,v1\n0 {char},1\n0.5,2\n1,3\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2: expected 2 fields, got 1"):
-            load_trace(str(path))
+    for char in _CONTROLS:
+        text = f"t,v1\n0 {char},1\n0.5,2\n1,3\n"
+        path.write_text(text, encoding="utf-8")
+        (tmp_path / "blank.csv").write_text(text + " \n", encoding="utf-8")
+        (tmp_path / "plain.csv.gz").write_text(text, encoding="utf-8")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table, [[0.0, 1.0], [0.5, 2.0], [1.0, 3.0]])
+        for name in ("breaks.csv", "blank.csv", "plain.csv.gz"):
+            routed = tmp_path / name
+            assert (_read_trace(str(routed), routed.read_bytes()) is None) == (routed != path)
+            back = load_trace(str(routed))
+            assert (back.t0, back.dt) == (0.0, 0.5)
+            assert back.samples.tobytes() == table[:, 1:].tobytes()
     # and bytes that are not text are a ParseError naming the file and
     # the error open() gives on them
     path.write_bytes(b"t,v1\n0,1\xa0\n0.5,2\n1,3\n")

@@ -661,6 +661,20 @@ def test_reconstruct_names_a_scaled_sample_past_the_float_range():
             reconstruct_with_condition(m, ys)
 
 
+def test_forced_reconstruction_names_a_free_output_past_the_float_range():
+    # y - y_forced is -1.6e308 - 1.2e308 at the second sample: the
+    # subtraction overflows with no RuntimeWarning, and the Gramian sums
+    # name the overflow
+    m = make_model([[0.0]], [[1.0]], [[0.75]])
+    ys = Trace(0.0, 1.0, [[-1.6e308], [-1.6e308]])
+    us = Trace(0.0, 1.0, [[1.6e308], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError,
+                           match=r"^reconstruct: the Gramian sums overflow over \[0, 1\]$"):
+            reconstruct_with_condition(m, ys, us)
+
+
 def test_reconstruct_zero_trace_gives_zero_state():
     m = table_model()
     ys = Trace(0.0, 1e-2, np.zeros((101, 1)))
