@@ -12,8 +12,11 @@ to matrix-exponential accuracy.  Every grid recurrence runs on :func:`propagate`
 
 :func:`make_model` alone decides whether (A, B, C) is a model, and
 :func:`simulate_forced` alone whether an initial state fits one; the
-functions that take a model, :func:`zoh_discretize` among them, do not
-check its arrays again.
+functions that take a model do not convert its arrays or check their
+shapes again.  Those that exponentiate (:func:`transition_matrix`,
+:func:`simulate_forced`, :func:`zoh_discretize`) do so through the
+validating :func:`~observkit.linalg.expm`, which copies its argument and
+scans it for non-finite entries once more.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def make_model(a, b, c, name: str = "") -> StateSpaceModel:
 
     This is the one owner of a model's shape rules: the arrays it stores
     are finite, read-only float arrays, and no function that takes the
-    model checks them again.
+    model checks their shapes again.
 
     Args:
         a: system matrix, n x n.
@@ -254,10 +257,12 @@ def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarra
     """Exact zero-order-hold discretization of the model's (A, B) at step dt.
 
     Returns (A_d, B_d) such that x(t + dt) = A_d x(t) + B_d u when u is
-    held constant over the step.  Both come from one exponential of the
-    augmented block matrix [[A, B], [0, 0]] * dt, whose top row blocks
-    are exactly A_d and B_d.  The model's arrays were validated by
-    :func:`make_model`, so nothing here converts or checks them again.
+    held constant over the step: the top row blocks of one
+    :func:`~observkit.linalg.expm` of the augmented block matrix
+    [[A, B], [0, 0]] * dt, which copies that block and scans it for
+    non-finite entries.  This A_d is the top-left block of the augmented
+    exponential, not the ``expm(A, dt)`` that :func:`simulate_forced`
+    steps with; the two can differ in the last bits.
     """
     big = expm(np.block([[m.a, m.b], [np.zeros((m.p, m.n + m.p))]]), dt)
     return big[:m.n, :m.n], big[:m.n, m.n:]

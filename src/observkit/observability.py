@@ -165,7 +165,8 @@ def _weighted_sums(m: StateSpaceModel, h: float, weights: np.ndarray,
     """Sums over grid nodes k of w_k R_k^T R_k and of w_k R_k^T y_k, one
     product each, for the caller's weights w_k (already scaled by the step
     h) on the samples y_k, with every R_k = C Phi(h)^k from one
-    :func:`propagate`.
+    :func:`propagate`.  Phi(h) comes from the validating
+    :func:`~observkit.linalg.expm`, which copies A and scans it again.
 
     :func:`gramian_quadrature` passes Simpson weights and reconstruction
     the trapezoid rule.  For reconstruction any positive weights recover a
@@ -229,7 +230,9 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
     or finiteness scan.
 
     Raises:
-        ValueError: nonpositive horizon.
+        ValueError: nonpositive horizon, or a nonzero C whose Gramian
+            underflows to 0 (C^T C is 0 when every entry of C is below
+            about 1e-162).
         NonFiniteError: C^T C or the Gramian overflows over [0, T].
     """
     horizon = as_float(horizon, "horizon", "positive")
@@ -246,10 +249,14 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
         f = expm_kernel(block, t, expm_squarings(block, t, "expm"))
         phi = f[n:, n:]
         gram = phi.T @ f[:n, n:]
-        for i in range(k if gram.any() else 0):  # C = 0: stays 0; inf * 0 would be NaN
-            if i:  # Phi(2t) only when a doubling reads it, so never after the last
-                phi = phi @ phi
-            gram = gram + phi.T @ gram @ phi
+        if gram.any():  # C = 0: stays 0; inf * 0 would be NaN
+            for i in range(k):
+                if i:  # Phi(2t) only when a doubling reads it, so never after the last
+                    phi = phi @ phi
+                gram = gram + phi.T @ gram @ phi
+        elif m.c.any():  # a nonzero C whose Gramian underflowed must not read as C = 0
+            raise ValueError(f"doubling: C^T C underflows to 0; C has an entry of magnitude "
+                             f"{np.abs(m.c).max():.6g}")
     if not np.isfinite(gram).all():
         raise NonFiniteError(f"doubling: the Gramian overflows over [0, {horizon:.6g}] "
                              f"after {k} doublings")

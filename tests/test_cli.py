@@ -1,4 +1,5 @@
 import gc
+import gzip
 import importlib
 import inspect
 import json
@@ -25,12 +26,26 @@ def no_color(monkeypatch):
     monkeypatch.setenv("OBSERVKIT_NO_COLOR", "1")
 
 
-def cardio_model_file(tmp_path, stiffness=1.0):
+def cardio_model_file(tmp_path, stiffness=1.0, damping=0.0):
     path = tmp_path / "model.json"
-    m = make_model([[0.0, 1.0], [-stiffness, 0.0]], [[0.0], [1.0]],
+    m = make_model([[0.0, 1.0], [-stiffness, -damping]], [[0.0], [1.0]],
                    [[0.0, 1.0]], name="table")
     save_model(m, str(path))
     return str(path)
+
+
+@pytest.fixture
+def table_run(tmp_path, monkeypatch, capsys):
+    """The damped table as ``cardio --out table.json`` writes it, and its
+    1001-sample free run as ``simulate --out run`` writes it, in the
+    working directory, so that messages name the files as typed."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["cardio", "--mass", "1", "--damping", "0.5", "--stiffness", "2",
+                 "--horizon", "1", "--out", "table.json"]) == 0
+    assert main(["simulate", "--model", "table.json", "--x0", "1,-0.5", "--dt", "0.001",
+                 "--steps", "1000", "--out", "run"]) == 0
+    capsys.readouterr()
+    return tmp_path
 
 
 def hidden_model_file(tmp_path):
@@ -161,16 +176,59 @@ def test_analyze_integer_past_the_float_range(tmp_path, capsys):
     assert err == f"error: {path}: 'a'[0][0] is not finite\n"
 
 
-def test_files_that_are_not_text_are_errors_naming_the_file(tmp_path, capsys):
-    model = tmp_path / "bad.json"
-    model.write_bytes(b"\xff{}")
-    err = _numeric_failure(["analyze", "--model", str(model)], capsys)
-    assert err.startswith(f"error: {model}: cannot read model file: ")
-    trace = tmp_path / "packed_y.csv.gz"
-    trace.write_bytes(b"\x1f\x8b\x08\x00")
-    err = _numeric_failure(["reconstruct", "--model", cardio_model_file(tmp_path),
-                            str(trace)], capsys)
-    assert err.startswith(f"error: {trace}: cannot read trace file: ")
+def test_files_that_are_not_text_are_errors_naming_the_file(table_run, capsys):
+    (table_run / "notext.json").write_bytes(b"\xff{}")
+    err = _numeric_failure(["analyze", "--model", "notext.json"], capsys)
+    assert err.startswith("error: notext.json: cannot read model file: ")
+    (table_run / "packed_y.csv.gz").write_bytes(gzip.compress(
+        (table_run / "run_y.csv").read_bytes()))
+    err = _numeric_failure(["reconstruct", "--model", "table.json", "packed_y.csv.gz"], capsys)
+    assert err.startswith("error: packed_y.csv.gz: cannot read trace file: ")
+
+
+def test_reconstruct_names_the_line_of_a_field_it_refuses(table_run, capsys):
+    # numpy's reader parses "inf", here on the last line; float() reads 1_0
+    # and numpy's reader does not, so the line route refuses it as numpy does
+    lines = (table_run / "run_y.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",inf"
+    (table_run / "inf_y.csv").write_text("\n".join(lines) + "\n")
+    (table_run / "under.csv").write_text("t,v1\n0,1_0\n1,2\n2,3\n")
+    for name, message in (("inf_y.csv", "line 1002: non-finite value"),
+                          ("under.csv", "line 2: non-numeric field")):
+        err = _numeric_failure(["reconstruct", "--model", "table.json", name], capsys)
+        assert err == f"error: {name}: {message}\n"
+
+
+def test_reconstruct_prints_the_same_for_every_layout_of_a_trace(table_run, capsys):
+    # CRLF endings with a whitespace-only line go by load_trace's line
+    # route; " \f," for every data comma is whitespace inside a field on
+    # both routes, not a line end.  No run warns at all
+    lines = (table_run / "run_y.csv").read_text().splitlines()
+    crlf = lines[:500] + [" \t "] + lines[500:]
+    (table_run / "crlf_y.csv").write_bytes(("\r\n".join(crlf) + "\r\n").encode())
+    formfeed = lines[:1] + [line.replace(",", " \f,") for line in lines[1:]]
+    (table_run / "ff_y.csv").write_text("\n".join(formfeed) + "\n")
+    printed = []
+    for name in ("run_y.csv", "crlf_y.csv", "ff_y.csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reconstruct", "--model", "table.json", name]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[1:] == printed[:1] * 2
+
+
+def test_simulate_writes_every_field_as_17g(table_run, capsys):
+    # the trace writer's numpy path, and its per-field path for subnormal
+    # and huge values, print each field exactly as '%.17g' does
+    for argv in (["--x0", "1,-0.5", "--dt", "1e-320", "--steps", "3", "--out", "sub"],
+                 ["--x0=1e308,-1e308", "--dt", "1e-3", "--steps", "3", "--out", "huge"]):
+        assert main(["simulate", "--model", "table.json", *argv]) == 0
+    capsys.readouterr()
+    fields = [field for prefix in ("run", "sub", "huge") for kind in "xy"
+              for row in (table_run / f"{prefix}_{kind}.csv").read_text().splitlines()[1:]
+              for field in row.split(",")]
+    assert len(fields) == (1001 + 4 + 4) * (3 + 2)  # rows times (t, x1, x2) and (t, y)
+    assert [field for field in fields if field != "%.17g" % float(field)] == []
 
 
 def test_simulate_free_velocity_output(tmp_path, capsys):
@@ -213,15 +271,46 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_analyze_overflowing_c_transpose_c_is_an_error(tmp_path, capsys):
+    # with two outputs C^T C holds inf on its diagonal and inf - inf (NaN
+    # or an infinity, as the BLAS accumulates) off it: the same error
     path = str(tmp_path / "bigc.json")
-    save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e200, 0.0]]), path)
+    for c in ([[1e200, 0.0]], [[1e200, -1e200], [1e200, 1e200]]):
+        save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], c), path)
+        err = _numeric_failure(["analyze", "--model", path, "--horizon", "1"], capsys)
+        assert err == ("error: doubling: C^T C overflows; "
+                       "C has an entry of magnitude 1e+200\n")
+
+
+@pytest.mark.parametrize("c, code, first_line", [
+    ([[1e-200, 0.0]], 1,
+     "error: doubling: C^T C underflows to 0; C has an entry of magnitude 1e-200"),
+    ([[0.0, 0.0]], 2, "model: NOT completely observable over [0, 1] (rank 0/2)"),
+    ([[0.0, 1e-160]], 0, "model: completely observable over [0, 1] (rank 2/2, "),
+], ids=["underflows", "zero", "subnormal-gramian"])
+def test_analyze_tiny_output_map(tmp_path, capsys, c, code, first_line):
+    # 1e-200 squared is 0: the zero Gramian would read as "not observable"
+    # though the rank is 2, so it is an error; C = 0 keeps its verdict, and
+    # 1e-160 squared is subnormal, not 0, and certifies
+    path = str(tmp_path / "tiny.json")
+    save_model(make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], c), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["analyze", "--model", path, "--horizon", "1"]) == 1
+        assert main(["analyze", "--model", path, "--horizon", "1"]) == code
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: doubling: C^T C overflows; "
-                   "C has an entry of magnitude 1e+200\n")
+    assert (out == "") == (code == 1)
+    assert len(err.splitlines()) == 1 and err.startswith(first_line)
+
+
+def test_analyze_gramian_past_1e154(tmp_path, capsys):
+    # the squares of the Gramian's entries overflow; the certificate does not
+    path = str(tmp_path / "grow.json")
+    save_model(make_model([[0.5]], [[1.0]], [[1.0]], name="grow"), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--model", path, "--horizon", "600"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["gramian"]["matrix"][0][0] > 1e154
+    assert err.startswith("grow: completely observable over [0, 600] (rank 1/1, ")
 
 
 def test_analyze_gramian_near_the_float_limit(tmp_path, capsys):
@@ -273,6 +362,21 @@ def test_reconstruct_a_tiny_output_map(tmp_path, capsys):
         assert main(["reconstruct", "--model", path, prefix + "_y.csv"]) == 0
     np.testing.assert_allclose(json.loads(capsys.readouterr().out)["x0"], [1.0, -0.5],
                                rtol=0, atol=1e-12)
+
+
+def test_simulate_free_never_exponentiates_b(tmp_path, capsys):
+    # ||B||_1 dt = 1e310 is too large to scale, but a free response has no
+    # input for B_d to act on
+    path, prefix = str(tmp_path / "bigb.json"), str(tmp_path / "bigb")
+    save_model(make_model([[0.0]], [[1e300]], [[1.0]]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", path, "--x0", "2", "--dt", "1e10", "--steps", "3",
+                     "--out", prefix]) == 0
+    capsys.readouterr()
+    for kind in "xy":
+        np.testing.assert_array_equal(load_trace(f"{prefix}_{kind}.csv").samples,
+                                      np.full((4, 1), 2.0))
 
 
 def test_simulate_usage_errors(tmp_path, capsys):
@@ -397,6 +501,19 @@ def test_reconstruct_refuses_an_input_on_another_grid(tmp_path, capsys):
     assert err == "error: input and output traces must share a grid: 5 vs 11 samples\n"
 
 
+def test_reconstruct_names_a_forced_free_output_past_the_float_range(tmp_path, capsys):
+    # the output and the forced response are near the float limit with
+    # opposite signs: their difference overflows, and the Gramian sums name it
+    model = str(tmp_path / "edge.json")
+    save_model(make_model([[0.0]], [[1.0]], [[0.75]], name="edge"), model)
+    y_path, u_path = tmp_path / "edge_y.csv", tmp_path / "edge_u.csv"
+    y_path.write_text("t,v1\n0,-1.6e308\n1,-1.6e308\n")
+    u_path.write_text("t,v1\n0,1.6e308\n1,0\n")
+    err = _numeric_failure(["reconstruct", str(y_path), "--model", model,
+                            "--input", str(u_path)], capsys)
+    assert err == "error: reconstruct: the Gramian sums overflow over [0, 1]\n"
+
+
 def test_reconstruct_names_a_missing_trace(tmp_path, capsys):
     path = str(tmp_path / "nope.csv")
     rc = main(["reconstruct", "--model", cardio_model_file(tmp_path), path])
@@ -448,7 +565,7 @@ def test_reconstruct_zero_trace(tmp_path, capsys):
 
 
 def test_reconstruct_horizon_mismatch(tmp_path, capsys):
-    model_path = cardio_model_file(tmp_path)
+    model_path = cardio_model_file(tmp_path, stiffness=2.0, damping=0.5)
     prefix = str(tmp_path / "sim")
     # the epoch trace spans 1.234 up to the rounding of its written times,
     # which the grid tolerance allows for; 1.235 is a whole step more
@@ -474,9 +591,10 @@ def test_reconstruct_horizon_mismatch(tmp_path, capsys):
     pytest.param("1e6", "1e-3", 1000, 1e-12, id="1e6-1e-3"),
     pytest.param("1700000000.123", "1e-3", 1234, 1e-6, id="1700000000.123-1e-3-1234"),
     pytest.param("1e6", "1e-3", 2, 1e-6, id="1e6-1e-3-2"),
+    pytest.param("0", "1e-3", 999, 1e-12, id="0-1e-3-999"),
 ])
 def test_reconstruct_on_offset_grid(tmp_path, capsys, t0, dt, steps, x0_tol):
-    model_path = cardio_model_file(tmp_path, stiffness=2.0)
+    model_path = cardio_model_file(tmp_path, stiffness=2.0, damping=0.5)
     prefix = str(tmp_path / "sim")
     assert main(["simulate", "--model", model_path, "--x0", "1,-0.5", "--t0", t0,
                  "--dt", dt, "--steps", str(steps), "--out", prefix]) == 0
@@ -519,13 +637,15 @@ def test_cardio_non_finite_parameter_is_an_error(capsys, flag, value, message):
 
 
 @pytest.mark.parametrize("params, horizon", [
-    *[(("0.5", "0.5", "100"), t) for t in ("103", "110", "112", "113", "200")],
+    *[(("0.5", "0.5", "100"), t) for t in ("1", "50", "103", "110", "112", "113", "200")],
     (("1", "0", "1"), "1e6"),  # the paper's table
-], ids=["stiff-T103", "stiff-T110", "stiff-T112", "stiff-T113", "stiff-T200", "paper-T1e6"])
+], ids=["stiff-T1", "stiff-T50", "stiff-T103", "stiff-T110", "stiff-T112", "stiff-T113",
+        "stiff-T200", "paper-T1e6"])
 def test_cardio_certificate_is_the_rank_test_and_doubling_gramian(capsys, params, horizon):
-    # 1000 RK4 steps are unstable at these horizons (indefinite up to 112,
+    # 1000 RK4 steps are unstable from T = 103 (indefinite up to 112,
     # overflowing from 113); the certificate does not run them, so stderr
-    # is the verdict alone and the document has no RK4 keys
+    # is the verdict alone and the document has no RK4 keys.  At T = 1,
+    # ||A||_1 T = 200 takes the doubling route through 9 doublings
     mass, damping, stiffness = params
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -559,7 +679,16 @@ def test_cli_certificates_run_no_rk4(tmp_path, capsys, ode_calls):
 def test_bad_tolerance_flag_is_an_error(capsys, stiffness, flag):
     err = _numeric_failure(["cardio", "--mass", "1", "--damping", "0.5",
                             "--stiffness", stiffness, flag], capsys)
-    assert "must be" in err and "finite" in err
+    name, value = flag[2:].split("=")
+    rule = {"pd-tol": "definiteness tolerance must be nonnegative",
+            "rank-tol": "rel_tol must be positive"}[name]
+    assert err == f"error: {rule} and finite, got {float(value)}\n"
+
+
+def test_zero_horizon_is_an_error(tmp_path, capsys):
+    err = _numeric_failure(["analyze", "--model", cardio_model_file(tmp_path),
+                            "--horizon", "0"], capsys)
+    assert err == "error: horizon must be positive and finite, got 0.0\n"
 
 
 def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
@@ -571,14 +700,18 @@ def test_simulate_expm_overflow_is_an_error(tmp_path, capsys):
 
 
 def test_simulate_checks_the_grid_before_any_work(tmp_path, capsys):
-    # the third sample time overflows: Trace refuses the grid before the
-    # exponential of A dt is attempted, and nothing is written
+    # a NaN step, or a third sample time that overflows (with a fourth, two
+    # times past the float range are compared, not subtracted): Trace
+    # refuses the grid before the exponential of A dt is attempted, and
+    # nothing is written
     model_path = cardio_model_file(tmp_path, stiffness=2.0)
-    err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",
-                            "--dt", "1e308", "--steps", "2",
-                            "--out", str(tmp_path / "r")], capsys)
-    assert err == ("error: t0 = 0.0 and dt = 1e+308 give sample 2 at t = inf: "
-                   "time column must be finite\n")
+    past = "t0 = 0.0 and dt = 1e+308 give sample 2 at t = inf: time column must be finite"
+    for dt, steps, message in (("1e308", "2", past), ("1e308", "3", past),
+                               ("nan", "10", "dt must be positive and finite, got nan")):
+        err = _numeric_failure(["simulate", "--model", model_path, "--x0", "1,0",
+                                "--dt", dt, "--steps", steps,
+                                "--out", str(tmp_path / "r")], capsys)
+        assert err == f"error: {message}\n"
     assert not list(tmp_path.glob("r_*"))
 
 
@@ -664,29 +797,35 @@ def test_style_honors_no_color(monkeypatch):
     assert _style("hi", "green") == "hi"
 
 
-@pytest.mark.parametrize("flags, code", [
-    (["--stiffness", "1"], 0),
-    (["--stiffness", "1", "--no-such-flag"], 1),
-    (["--stiffness", "0"], 2),
-], ids=["observable", "usage-error", "unobservable"])
-def test_module_entry_point(tmp_path, monkeypatch, capsys, flags, code):
-    # python -m observkit prints, writes and exits exactly as main() does
-    argv = ["cardio", "--mass", "1", *flags, "--out", "m.json"]
+@pytest.mark.parametrize("argv, code", [
+    (["cardio", "--mass", "1", "--stiffness", "1", "--out", "m.json"], 0),
+    (["cardio", "--mass", "1", "--stiffness", "1", "--no-such-flag", "--out", "m.json"], 1),
+    (["cardio", "--mass", "1", "--stiffness", "0", "--out", "m.json"], 2),
+    (["analyze", "--model", "table.json"], 0),
+], ids=["observable", "usage-error", "unobservable", "analyze-piped"])
+def test_module_entry_point(tmp_path, monkeypatch, capsys, argv, code):
+    # python -W error::RuntimeWarning -m observkit prints, writes and exits
+    # exactly as main() does, and its piped stdout is flushed whole at exit
     child, in_process = tmp_path / "child", tmp_path / "in_process"
-    child.mkdir()
-    in_process.mkdir()
+    table = make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], [[0.0, 1.0]])
+    for where in (child, in_process):
+        where.mkdir()
+        save_model(table, str(where / "table.json"))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
         os.path.abspath(observkit.__file__))))
     env.pop("PYTHONUNBUFFERED", None)  # the exit's flush delivers stdout
-    proc = subprocess.run([sys.executable, "-m", "observkit", *argv], cwd=child,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "observkit",
+                           *argv], cwd=child, env=env, capture_output=True, text=True,
+                          timeout=60)
     monkeypatch.chdir(in_process)
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     written = {p.name: p.read_bytes() for p in child.iterdir()}
     assert written == {p.name: p.read_bytes() for p in in_process.iterdir()}
-    assert bool(written) == (code != 1)
+    assert ("m.json" in written) == (argv[0] == "cardio" and code != 1)
+    if code != 1:
+        assert json.loads(proc.stdout)["observable"] is (code == 0)
 
 
 def test_package_import_leaves_dataclasses_unimported():

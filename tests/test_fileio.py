@@ -695,6 +695,9 @@ def test_every_report_analyze_returns_serializes(data, n, k, kc, horizon):
         report, doc = report_doc(m, horizon)
     except NonFiniteError:  # the doubling Gramian or a rank block overflows
         return
+    except ValueError as exc:  # a nonzero C so small that C^T C underflows
+        assert str(exc).startswith("doubling: C^T C underflows to 0"), exc
+        return
     assert doc["observable"] is report.observable
     assert doc["gramian"]["matrix"] == report.gramian.gramian.tolist()
 

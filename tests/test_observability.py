@@ -287,6 +287,16 @@ def test_an_overflowing_c_transpose_c_names_its_route():
                 gramian_ode(m, 1.0)
 
 
+def test_an_underflowing_c_transpose_c_names_its_route():
+    # 1e-200 squared is 0 in floating point: the Gramian would be exactly 0
+    # and read as unobservable though the rank test sees rank 2
+    m = make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e-200, 0.0]])
+    for route in (analyze, gramian_doubling):
+        with pytest.raises(ValueError, match=r"^doubling: C\^T C underflows to 0; C has an "
+                                             r"entry of magnitude 1e-200$"):
+            route(m, 1.0)
+
+
 def test_gramian_ode_constant_integrand():
     m = make_model(np.zeros((2, 2)), np.ones((2, 1)), np.eye(2))
     g = gramian_ode(m, 3.0, 30)
@@ -470,7 +480,12 @@ def test_gramian_ode_agrees_with_doubling(data, n, q, horizon):
     c = np.array(data.draw(st.lists(entries, min_size=q * n, max_size=q * n))).reshape(q, n)
     m = make_model(a, np.ones((n, 1)), c)
     ode = gramian_ode(m, horizon).gramian
-    exact = gramian_doubling(m, horizon).gramian
+    try:
+        exact = gramian_doubling(m, horizon).gramian
+    except ValueError as exc:  # a nonzero C so small that C^T C underflows
+        assert str(exc).startswith("doubling: C^T C underflows to 0"), exc
+        assert np.abs(ode).max() < np.finfo(float).tiny
+        return
     scale = np.linalg.norm(exact)
     assert np.abs(ode - ode.T).max() <= 1e-15 * scale
     # RK4's global error on a mode of the Lyapunov operator with rate mu is
