@@ -133,20 +133,10 @@ def load_model(path: str) -> StateSpaceModel:
 def save_trace(trace: Trace, path: str) -> None:
     """Write a trace as CSV with header t,v1,...,vw.
 
-    Every :class:`~observkit.lti.Trace` of two or more samples and one or
-    more value columns loads again, since ``Trace`` itself rejects a grid
-    whose times would repeat.
-
-    Raises:
-        ValueError: the trace has fewer than two samples or no value
-            column, which :func:`load_trace` could not read back; nothing
-            is written.
+    Every :class:`~observkit.lti.Trace` loads again, since ``Trace`` itself
+    rejects fewer than two samples, no value column and a grid whose times
+    would repeat.
     """
-    if trace.samples.shape[0] < 2:
-        raise ValueError(f"{path}: a trace needs at least two samples for load_trace to "
-                         f"infer its time step, got {trace.samples.shape[0]}; nothing written")
-    if not trace.width:
-        raise ValueError(f"{path}: load_trace needs a value column, got none; nothing written")
     header = "t," + ",".join(f"v{i + 1}" for i in range(trace.width))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")

@@ -43,7 +43,8 @@ class Record:
     deleting one afterwards raises ``AttributeError``.  ``repr``, ``==``
     and ``hash`` read the attributes named in ``_fields``, in order: two
     records are equal when they are of the same class and those values
-    are, and a record that holds an array is unhashable.
+    are, compared by ``np.array_equal``, and a record that holds an array
+    is unhashable.
     """
 
     _fields: tuple[str, ...] = ()
@@ -67,7 +68,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return all(map(np.array_equal, self._key(), other._key()))
 
     def __hash__(self):
         return hash(self._key())
@@ -121,15 +122,18 @@ class Trace(Record):
     """Uniformly sampled vector signal.
 
     Row ``k`` of ``samples`` is the signal value at time ``t0 + k*dt``.
-    This class owns the grid rule: t0 must be finite, dt finite and
-    positive, and the sample times t0 + k*dt, as computed in double
-    precision, finite and strictly increasing.  So dt may not fall far
-    below the spacing of floats at t0 (at t0 = 1e17, where floats are 16
-    apart, dt = 10 repeats a time), and every trace of two or more
-    samples survives a CSV round trip.
+    This class owns a trace's shape and grid: at least two samples and at
+    least one value column, t0 finite, dt finite and positive, and the
+    sample times t0 + k*dt, as computed in double precision, finite and
+    strictly increasing.  So dt may not fall far below the spacing of
+    floats at t0 (at t0 = 1e17, where floats are 16 apart, dt = 10 repeats
+    a time), and every trace that constructs survives a CSV round trip
+    and spans a window to reconstruct from.
 
     Raises:
         NonFiniteError: t0 or dt is not finite (:func:`~observkit.linalg.as_float`).
+        ShapeMismatchError: fewer than two samples or no value column;
+            the message names the shape.
         ValueError: dt is not positive (``as_float``), or a sample time
             breaks the rule; that message names t0, dt and the first such
             sample k with its time.
@@ -140,6 +144,9 @@ class Trace(Record):
     def __init__(self, t0: float, dt: float, samples: np.ndarray):
         t0, dt = as_float(t0, "t0"), as_float(dt, "dt", "positive")
         samples = as_matrix(samples, "samples")
+        if samples.shape[0] < 2 or samples.shape[1] < 1:
+            raise ShapeMismatchError("a trace needs at least two samples and one value column, "
+                                     f"got {samples.shape[0]}x{samples.shape[1]}")
         samples.setflags(write=False)
         self._set(t0=t0, dt=dt, samples=samples)
         with np.errstate(over="ignore"):  # an infinite time is reported below
@@ -243,13 +250,14 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     under an identically zero input of steps + 1 samples.
 
     Sample k is Phi(dt)^k x0 from :func:`propagate`, so it equals
-    exp(A k dt) x0 up to exponential accuracy.  The grid is checked by
+    exp(A k dt) x0 up to exponential accuracy.  ``steps`` is at least 1,
+    as a trace has at least two samples, and the grid is checked by
     :class:`Trace` before any work is done.
 
     Returns:
         (x trace, y trace), each with steps + 1 samples.
     """
-    steps = as_count(steps, "steps", 0)
+    steps = as_count(steps, "steps", 1)
     return simulate_forced(m, x0, Trace(t0, dt, np.zeros((steps + 1, m.p))))
 
 

@@ -301,8 +301,6 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
     """Output samples with any forced contribution removed."""
     if y.width != m.q:
         raise ShapeMismatchError(f"output trace must have width {m.q}, got {y.width}")
-    if y.samples.shape[0] < 2:
-        raise ValueError("output trace needs at least two samples to span a window")
     if u is None:
         return y.samples
     if u.samples.shape[0] != y.samples.shape[0]:
@@ -324,11 +322,11 @@ def reconstruction_normal_equations(
 
     With R_k = C Phi(dt)^k and w_k the trapezoid weights (dt at every
     sample, dt/2 at the first and the last), gram sums w_k R_k^T R_k and
-    moment sums w_k R_k^T y_k; one rule serves every trace of two or more
-    samples.  Both sides use the same weights, so for noiseless data the
-    solve returns x0 up to rounding whatever the quadrature error: the
-    weighted sums satisfy gram @ x0 = moment identically when
-    y(t_k) = C e^{A t_k} x0, for any positive weights.  The weights do
+    moment sums w_k R_k^T y_k; one rule serves every trace.  Both sides
+    use the same weights, so for noiseless data the solve returns x0 up
+    to rounding whatever the quadrature error: the weighted sums satisfy
+    gram @ x0 = moment identically when y(t_k) = C e^{A t_k} x0, for any
+    positive weights.  The weights do
     shape the answer on noisy data, which the solve fits in the weighted
     least-squares sense; near-equal weights keep its variance low.
 
@@ -349,7 +347,7 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
 
     Args:
         m: the model the trace came from.
-        y: output trace, width q, at least two samples.
+        y: output trace, width q.
         u: input trace on the same grid, if the response was forced.
         horizon: expected window length; checked against the trace's
             span when given, by :func:`~observkit.lti.times_agree`.
@@ -361,7 +359,8 @@ def reconstruct_initial_state(m: StateSpaceModel, y: Trace,
     Raises:
         SingularGramianError: the sampled Gramian on the trace's grid is
             not invertible, so these samples do not determine x0.
-        ValueError: trace/horizon mismatch or a degenerate trace.
+        ValueError: trace/horizon mismatch, a trace whose width does not
+            fit the model, or input and output traces off a shared grid.
     """
     return reconstruct_with_condition(m, y, u, horizon)[0]
 

@@ -90,8 +90,13 @@ def check_record(cls, args: tuple, shown: tuple[str, ...], hidden: tuple[str, ..
     ``cls(*args)`` and the same values by keyword build the same record;
     setting or deleting any attribute raises ``AttributeError``; ``repr``
     reads ``Name(field=value, ...)`` over the ``shown`` fields in order
-    and names no ``hidden`` one.  Returns the record."""
+    and names no ``hidden`` one; a rebuilt record compares equal, and one
+    whose first field is changed (by adding 1) does not.  Returns the
+    record."""
     record = cls(*args)
+    assert cls(*args) == record and not cls(*args) != record
+    changed = cls(args[0] + 1, *args[1:])
+    assert changed != record and not changed == record
     assert repr(cls(**dict(zip(shown + hidden, args)))) == repr(record)
     text = repr(record)
     assert text.startswith(f"{cls.__name__}(")

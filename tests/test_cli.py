@@ -245,16 +245,17 @@ def test_simulate_free_velocity_output(tmp_path, capsys):
     assert xs.width == 2
 
 
-def test_simulate_zero_steps_single_row(tmp_path, capsys):
-    # one row cannot give load_trace a time step, so simulate refuses to
-    # write it: exit 1, one error line, and neither CSV
+def test_simulate_zero_steps_single_row(tmp_path, capsys, monkeypatch):
+    # a trace has at least two samples, so the count rule refuses one row
+    # before any step is run: exit 1, one error line, and neither CSV
     model_path = cardio_model_file(tmp_path)
+    calls = []
+    monkeypatch.setattr("observkit.lti.propagate", lambda *args: calls.append(args))
     rc = main(["simulate", "--model", model_path, "--x0", "1,0",
                "--dt", "0.1", "--steps", "0", "--out", str(tmp_path / "still")])
     out, err = capsys.readouterr()
-    assert (rc, out) == (1, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "at least two samples" in err and "got 1" in err
+    assert (rc, out, calls) == (1, "", [])
+    assert err == "error: steps must be a whole number >= 1, got 0\n"
     assert not list(tmp_path.glob("still*"))
 
 
@@ -420,7 +421,7 @@ def test_simulate_steps_below_zero_is_the_count_rule(tmp_path, capsys):
                "--dt", "0.1", "--steps", "-1", "--out", str(tmp_path / "neg")])
     _, err = capsys.readouterr()
     assert rc == 1
-    assert err == "error: steps must be a whole number >= 0, got -1\n"
+    assert err == "error: steps must be a whole number >= 1, got -1\n"
 
 
 def test_simulate_with_input_trace(tmp_path, capsys):

@@ -27,7 +27,7 @@ from observkit.fileio import (
     save_model,
     save_trace,
 )
-from observkit.linalg import NonFiniteError
+from observkit.linalg import NonFiniteError, ShapeMismatchError
 from observkit.lti import GRID_RTOL, Trace, make_model
 from observkit.observability import analyze, reconstruct_with_condition
 
@@ -235,13 +235,16 @@ def _grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid=_grids(), count=st.integers(2, 40), width=st.integers(1, 3),
+@given(grid=_grids(), count=st.integers(0, 40), width=st.integers(0, 3),
        data=st.data())
 def test_every_trace_that_constructs_loads_again(tmp_path_factory, grid, count, width, data):
     values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=count * width, max_size=count * width))
     try:
         trace = Trace(*grid, np.reshape(values, (count, width)))
+    except ShapeMismatchError:
+        assert count < 2 or width < 1
+        assume(False)
     except ValueError as exc:
         assert "time column must be" in str(exc)
         assume(False)
@@ -261,23 +264,6 @@ def test_every_trace_that_constructs_loads_again(tmp_path_factory, grid, count, 
         reconstruct_with_condition(model, back, horizon=(count - 1) * trace.dt)
     except ValueError as exc:  # the sums of arbitrary samples may overflow
         assert "trace spans" not in str(exc)
-
-
-def test_save_trace_refuses_a_single_sample(tmp_path):
-    path = tmp_path / "one.csv"
-    with pytest.raises(ValueError, match="at least two samples for load_trace to infer its "
-                                         "time step, got 1"):
-        save_trace(Trace(0.0, 0.1, [[1.0, 0.0]]), str(path))
-    assert not path.exists()
-
-
-def test_save_trace_refuses_a_trace_with_no_value_column(tmp_path):
-    # "t,\n0\n1\n2\n" would not load again: its rows hold one field, not two
-    path = tmp_path / "none.csv"
-    with pytest.raises(ValueError, match="load_trace needs a value column, got none; "
-                                         "nothing written$"):
-        save_trace(Trace(0.0, 1.0, np.zeros((3, 0))), str(path))
-    assert not path.exists()
 
 
 def test_load_trace_names_the_line_of_a_repeated_time(tmp_path):

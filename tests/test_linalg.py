@@ -186,7 +186,7 @@ def test_as_count_accepts_whole_numbers_only():
 
 # (site, call, name, least): every count parameter, with the bound as_count holds it to
 COUNT_SITES = [
-    ("simulate_free", lambda v: simulate_free(TABLE, [1.0, -0.5], dt=0.01, steps=v), "steps", 0),
+    ("simulate_free", lambda v: simulate_free(TABLE, [1.0, -0.5], dt=0.01, steps=v), "steps", 1),
     ("gramian_ode", lambda v: gramian_ode(TABLE, 1.0, steps=v), "steps", 1),
     ("gramian_quadrature", lambda v: gramian_quadrature(TABLE, 1.0, intervals=v), "intervals", 2),
 ]

@@ -105,9 +105,17 @@ def test_trace_rejects_times_that_repeat_or_overflow():
         Trace(1e17, 10.0, np.zeros((11, 1)))
     with pytest.raises(ValueError, match=r"give sample 2 at t = inf: time column must be finite"):
         Trace(0.0, 1e308, np.zeros((3, 1)))
-    # a step of one spacing passes, and so does a one-sample trace
+    # a step of one spacing passes
     assert Trace(1e17, 16.0, np.zeros((11, 1))).times[-1] == 1e17 + 160
-    Trace(1e17, 1.0, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 1), (1, 2), (3, 0)],
+                         ids=["0x1", "1x1", "1x2", "3x0"])
+def test_trace_refuses_fewer_than_two_samples_or_no_value_column(rows, cols):
+    # the one shape rule: what constructs can be saved, loaded and reconstructed from
+    message = f"a trace needs at least two samples and one value column, got {rows}x{cols}"
+    with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+        Trace(0.0, 0.1, np.zeros((rows, cols)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -185,13 +193,6 @@ def test_simulate_free_output_is_exactly_c_times_state():
     xs, ys = simulate_free(m, [0.4, -1.2], 0.0, 0.02, 100)
     for k in range(xs.samples.shape[0]):
         np.testing.assert_array_equal(ys.samples[k], m.c @ xs.samples[k])
-
-
-def test_simulate_free_zero_steps_gives_single_sample():
-    xs, ys = simulate_free(oscillator(), [1.0, 2.0], 0.0, 0.1, 0)
-    assert xs.samples.shape == (1, 2)
-    np.testing.assert_array_equal(xs.samples[0], [1.0, 2.0])
-    assert ys.samples.shape == (1, 1)
 
 
 def test_simulate_free_rejects_bad_arguments():
