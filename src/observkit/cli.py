@@ -73,7 +73,7 @@ def _certify(args, model: StateSpaceModel, out_path: str | None) -> int:
     """Analyze ``model`` with the tolerance flags, emit the report, print the
     human verdict to stderr; return the exit code."""
     report = analyze(model, args.horizon, rank_tol=args.rank_tol, pd_tol=args.pd_tol)
-    _emit_doc(dump_report(report, model.name), out_path)
+    _emit_doc(dump_report(report), out_path)
     horizon = report.gramian.horizon
     if not report.consistent:
         _status(_style(

@@ -1,9 +1,10 @@
 """File formats: JSON model/report documents and CSV trace files.
 
 This module serializes and parses; it computes nothing it writes.  A
-report document holds the verdicts and the doubling Gramian of the
-``ObservabilityReport`` it is given.  It leaves out the report's RK4
-cross-check, which no verdict reads, so writing a certificate runs no RK4.
+report document holds the name of the certified model, the verdicts and
+the doubling Gramian of the ``ObservabilityReport`` it is given, all read
+off the report alone.  It leaves out the report's RK4 cross-check, which
+no verdict reads, so writing a certificate runs no RK4.
 
 Every float is serialized with 17 significant digits so values round
 trip exactly, every other JSON scalar as ``json.dumps`` writes it, and
@@ -417,11 +418,12 @@ def load_trace(path: str) -> Trace:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def dump_report(report: ObservabilityReport, model_name: str = "") -> str:
-    """Serialize an observability certificate, fixed key order."""
+def dump_report(report: ObservabilityReport) -> str:
+    """Serialize an observability certificate, fixed key order; its
+    ``model`` key is the name of the report's model."""
     g = report.gramian
     doc = {
-        "model": model_name,
+        "model": report.model.name,
         "horizon": g.horizon,
         "observable": report.observable,
         "kalman_rank": report.kalman_rank,

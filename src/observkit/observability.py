@@ -16,6 +16,10 @@ Two tests of the same property:
   Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
   route, on a grid the caller picks.
 
+An :class:`ObservabilityReport` stores what :func:`analyze` measured,
+the Kalman rank and the doubling Gramian, with the model and tolerance
+it measured them for; every verdict it gives is derived from those.
+
 When the Gramian is invertible the initial state is recoverable from an
 output trace:  x0 = M(0,T)^{-1} * integral of e^{A^T t} C^T y(t) dt,
 since substituting y(t) = C e^{At} x0 turns the integral into M x0.
@@ -87,32 +91,53 @@ class GramianResult(Record):
 
 
 class ObservabilityReport(Record):
-    """Full certificate: rank route, Gramian route, and their agreement.
+    """Full certificate: what :func:`analyze` measured, and for what.
 
-    ``kalman_rank`` and ``kalman_observable`` are what :func:`rank_test`
-    returns; the observability matrix itself is not kept, since no verdict
-    reads it (call :func:`observability_matrix` to see it).  ``gramian``
-    holds the doubling result (the verdict-bearing route).  ``consistent`` is
-    false when the rank and Gramian verdicts disagree, which signals a
-    tolerance problem rather than a property of the model.
+    The report stores four things: ``kalman_rank``, the numerical rank
+    from :func:`rank_test`; ``gramian``, the doubling result (the
+    verdict-bearing route); and the ``model`` and ``pd_tol`` they were
+    measured for.  Every verdict is a read-only property over them:
+    ``rank_required`` is ``model.n``, ``kalman_observable`` is the rank
+    reaching it, ``gramian_observable`` the Gramian's definiteness,
+    ``consistent`` whether those two agree (false signals a tolerance
+    problem rather than a property of the model), and ``observable``
+    whether both hold.  The observability matrix itself is not kept, since
+    no verdict reads it (call :func:`observability_matrix` to see it).
+    ``repr``, ``==`` and ``hash`` read ``kalman_rank`` and ``gramian``.
 
     ``gramian_ode`` is the independent Lyapunov-ODE cross-check, which no
-    verdict depends on: :func:`gramian_ode` over the same horizon at the
-    same ``pd_tol``, computed on the first read and kept.  Reading it
+    verdict depends on: :func:`gramian_ode` of ``model`` over the same
+    horizon at ``pd_tol``, computed on the first read and kept.  Reading it
     raises that routine's ``NonFiniteError`` when the RK4 steps overflow;
     the verdicts stand either way.  A caller that reads only the verdicts
     never runs RK4, and neither does the CLI.
     """
 
-    _fields = ("kalman_rank", "rank_required", "kalman_observable", "gramian_observable",
-               "consistent", "gramian")  # not the cross-check's _model and _pd_tol
+    _fields = ("kalman_rank", "gramian")
 
-    def __init__(self, kalman_rank: int, rank_required: int, kalman_observable: bool,
-                 gramian_observable: bool, consistent: bool, gramian: GramianResult,
-                 _model: StateSpaceModel, _pd_tol: float):
-        self._set(kalman_rank=kalman_rank, rank_required=rank_required,
-                  kalman_observable=kalman_observable, gramian_observable=gramian_observable,
-                  consistent=consistent, gramian=gramian, _model=_model, _pd_tol=_pd_tol)
+    def __init__(self, kalman_rank: int, gramian: GramianResult,
+                 model: StateSpaceModel, pd_tol: float):
+        self._set(kalman_rank=kalman_rank, gramian=gramian, model=model, pd_tol=pd_tol)
+
+    @property
+    def rank_required(self) -> int:
+        """The rank an observable model reaches: its state dimension."""
+        return self.model.n
+
+    @property
+    def kalman_observable(self) -> bool:
+        """The rank verdict: ``kalman_rank`` reaches ``rank_required``."""
+        return self.kalman_rank == self.rank_required
+
+    @property
+    def gramian_observable(self) -> bool:
+        """The Gramian verdict: the doubling Gramian is positive definite."""
+        return self.gramian.positive_definite
+
+    @property
+    def consistent(self) -> bool:
+        """The rank and the Gramian verdicts agree."""
+        return self.kalman_observable == self.gramian_observable
 
     @property
     def observable(self) -> bool:
@@ -125,7 +150,7 @@ class ObservabilityReport(Record):
     def gramian_ode(self) -> GramianResult:
         """:func:`gramian_ode` at the report's horizon and ``pd_tol``; raises
         its ``NonFiniteError`` when the RK4 steps overflow."""
-        return gramian_ode(self._model, self.gramian.horizon, pd_tol=self._pd_tol)
+        return gramian_ode(self.model, self.gramian.horizon, pd_tol=self.pd_tol)
 
 
 def observability_matrix(m: StateSpaceModel) -> np.ndarray:
@@ -303,13 +328,11 @@ def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:
         raise ShapeMismatchError(f"output trace must have width {m.q}, got {y.width}")
     if u is None:
         return y.samples
-    if u.samples.shape[0] != y.samples.shape[0]:
-        raise ValueError(
-            f"input and output traces must share a grid: {u.samples.shape[0]} vs "
-            f"{y.samples.shape[0]} samples")
-    if not times_agree([u.t0, u.duration], [y.t0, y.duration], y.duration,
-                       u.t0, y.t0, u.t0 + u.duration, y.t0 + y.duration).all():
-        raise ValueError("input and output traces must share a grid (t0 and dt)")
+    if u.samples.shape[0] != y.samples.shape[0] or not times_agree(
+            [u.t0, u.duration], [y.t0, y.duration], y.duration,
+            u.t0, y.t0, u.t0 + u.duration, y.t0 + y.duration).all():
+        grids = [f"{len(t.samples)} samples from t0 = {t.t0!r} at dt = {t.dt!r}" for t in (u, y)]
+        raise ValueError(f"input and output traces must share a grid: {' against '.join(grids)}")
     _, y_forced = simulate_forced(m, np.zeros(m.n), u)
     with np.errstate(over="ignore", invalid="ignore"):  # _weighted_sums names an overflow
         return y.samples - y_forced.samples
@@ -412,22 +435,12 @@ def analyze(m: StateSpaceModel, horizon: float,
             pd_tol: float = DEFAULT_PD_TOL) -> ObservabilityReport:
     """Run the rank test and the doubling Gramian; return the full certificate.
 
-    The rank verdict comes from :func:`rank_test` at ``rank_tol``.  The
-    Gramian verdict carried in ``gramian_observable`` comes from
-    :func:`gramian_doubling`, which has no discretisation to tune.
-    ``consistent`` compares the rank verdict with the Gramian verdict.  The
-    report keeps ``m`` and ``pd_tol`` for its :func:`gramian_ode`
-    cross-check, which it computes only when ``gramian_ode`` is first read.
+    The report holds the rank from :func:`rank_test` at ``rank_tol`` and
+    the :func:`gramian_doubling` result at ``pd_tol``, which has no
+    discretisation to tune, together with ``m`` and ``pd_tol``; its
+    verdicts are read off those.  ``pd_tol`` also serves its
+    :func:`gramian_ode` cross-check, computed only when ``gramian_ode`` is
+    first read.
     """
-    r, kalman_observable = rank_test(m, rank_tol)
-    gram = gramian_doubling(m, horizon, pd_tol)
-    return ObservabilityReport(
-        kalman_rank=r,
-        rank_required=m.n,
-        kalman_observable=kalman_observable,
-        gramian_observable=gram.positive_definite,
-        consistent=kalman_observable == gram.positive_definite,
-        gramian=gram,
-        _model=m,
-        _pd_tol=pd_tol,
-    )
+    return ObservabilityReport(rank_test(m, rank_tol)[0], gramian_doubling(m, horizon, pd_tol),
+                               m, pd_tol)

@@ -102,12 +102,13 @@ def test_default_flags_match_library_defaults(tmp_path, capsys):
     model_path = cardio_model_file(tmp_path, stiffness=3.0)
     assert main(["analyze", "--model", model_path, "--horizon", "2"]) == 0
     out, _ = capsys.readouterr()
-    model = load_model(model_path)
-    assert out == dump_report(analyze(model, 2.0), model.name)
+    # and exactly what the library writes for it, model name included
+    assert out == dump_report(analyze(load_model(model_path), 2.0))
     assert main(["cardio", "--mass", "2", "--damping", "0.5", "--stiffness", "3"]) == 0
     out, _ = capsys.readouterr()
     model = build_cardio_model(CardioParams(mass=2.0, damping=0.5, stiffness=3.0))
-    assert out == dump_report(analyze(model, 1.0), model.name)
+    assert out == dump_report(analyze(model, 1.0))
+    assert json.loads(out)["model"] == "cardio-table"
     # the report shows pd_tol only through verdicts, so compare it directly
     library = inspect.signature(analyze).parameters
     assert list(library) == ["m", "horizon", "rank_tol", "pd_tol"]
@@ -499,7 +500,8 @@ def test_reconstruct_refuses_an_input_on_another_grid(tmp_path, capsys):
     rc = main(["reconstruct", "--model", model_path, y_path, "--input", u_path])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
-    assert err == "error: input and output traces must share a grid: 5 vs 11 samples\n"
+    assert err == ("error: input and output traces must share a grid: 5 samples from "
+                   "t0 = 0.0 at dt = 0.1 against 11 samples from t0 = 0.0 at dt = 0.1\n")
 
 
 def test_reconstruct_names_a_forced_free_output_past_the_float_range(tmp_path, capsys):

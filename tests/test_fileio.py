@@ -627,8 +627,8 @@ def test_load_trace_breaks_lines_where_numpy_does(tmp_path):
 
 def test_report_document_shape():
     report = analyze(table_model(), 1.0)
-    text = dump_report(report, "cardio-table")
-    assert text == dump_report(report, "cardio-table")
+    text = dump_report(report)
+    assert text == dump_report(report)
     doc = json.loads(text)
     assert list(doc) == ["model", "horizon", "observable", "kalman_rank", "rank_required",
                          "kalman_observable", "gramian_observable", "consistent",

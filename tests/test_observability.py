@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -376,14 +377,28 @@ DOUBLING = GramianResult(np.eye(2), 1.0, "doubling", True, 1.0)
 @pytest.mark.parametrize("cls, args, shown, hidden", [
     (GramianResult, (np.eye(2), 1.0, "doubling", True, 1.0),
      ("gramian", "horizon", "method", "positive_definite", "min_pivot_or_eig"), ()),
-    (ObservabilityReport, (2, 2, True, True, True, DOUBLING, HIDDEN_MODEL, DEFAULT_PD_TOL),
-     ("kalman_rank", "rank_required", "kalman_observable", "gramian_observable",
-      "consistent", "gramian"), ("_model", "_pd_tol")),
+    (ObservabilityReport, (2, DOUBLING, HIDDEN_MODEL, DEFAULT_PD_TOL),
+     ("kalman_rank", "gramian"), ("model", "pd_tol")),
 ], ids=["GramianResult", "ObservabilityReport"])
 def test_record_contract(cls, args, shown, hidden):
     record = check_record(cls, args, shown, hidden)
     with pytest.raises(TypeError):
         hash(record)  # a Gramian is an array
+
+
+def test_report_verdicts_follow_from_its_fields():
+    # a rank short of n and a definite Gramian: two verdicts that disagree
+    table = table_model()
+    report = ObservabilityReport(1, DOUBLING, table, DEFAULT_PD_TOL)
+    assert report.rank_required == 2
+    assert report.kalman_observable is False and report.gramian_observable is True
+    assert report.consistent is False and report.observable is False
+    for verdict in ("rank_required", "kalman_observable", "gramian_observable",
+                    "consistent", "observable"):
+        with pytest.raises(AttributeError):
+            setattr(report, verdict, True)
+    report = analyze(table, 1.0, pd_tol=1e-6)
+    assert report.model is table and report.pd_tol == 1e-6
 
 
 def test_records_built_from_the_same_values_compare_equal():
@@ -731,9 +746,13 @@ def test_reconstruct_validates_traces():
     with pytest.raises(ShapeMismatchError):
         reconstruct_initial_state(m, wide)
     ys = Trace(0.0, 1e-2, np.zeros((50, 1)))
-    bad_grid = Trace(0.0, 2e-2, np.zeros((50, 1)))
-    with pytest.raises(ValueError, match="grid"):
-        reconstruct_initial_state(m, ys, bad_grid)
+    bad_dt = Trace(0.0, 2e-2, np.zeros((50, 1)))
+    shifted = Trace(0.5, 1e-2, np.zeros((50, 1)))
+    for u, grid in ((bad_dt, "t0 = 0.0 at dt = 0.02"), (shifted, "t0 = 0.5 at dt = 0.01")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"must share a grid: 50 samples from {grid} against "
+                "50 samples from t0 = 0.0 at dt = 0.01")):
+            reconstruct_initial_state(m, ys, u)
 
 
 def _trapezoid_stack(m, dt, samples):
