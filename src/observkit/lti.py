@@ -8,7 +8,9 @@ with n states, p inputs, and q outputs.  Simulation samples the exact
 solution x(t) = e^{At} x(0) + integral of e^{A(t-s)} B u(s) ds on a
 uniform grid; sampled inputs are interpreted as zero-order hold
 (constant between samples), which makes the per-step update exact up
-to matrix-exponential accuracy.  Every grid recurrence runs on :func:`propagate`.
+to matrix-exponential accuracy: each step applies Phi(dt) = e^{A dt} to
+the state and the input matrix B_d of :func:`zoh_discretize` to the held
+input.  Every grid recurrence runs on :func:`propagate`.
 
 :func:`make_model` alone decides whether (A, B, C) is a model, and
 :func:`simulate_forced` alone whether an initial state fits one; the
@@ -261,19 +263,17 @@ def simulate_free(m: StateSpaceModel, x0, t0: float = 0.0, dt: float = 1e-3,
     return simulate_forced(m, x0, Trace(t0, dt, np.zeros((steps + 1, m.p))))
 
 
-def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of the model's (A, B) at step dt.
+def zoh_discretize(m: StateSpaceModel, dt: float) -> np.ndarray:
+    """Exact zero-order-hold input matrix of the model at step dt.
 
-    Returns (A_d, B_d) such that x(t + dt) = A_d x(t) + B_d u when u is
-    held constant over the step: the top row blocks of one
+    Returns B_d such that x(t + dt) = e^{A dt} x(t) + B_d u when u is held
+    constant over the step: the top-right block of one
     :func:`~observkit.linalg.expm` of the augmented block matrix
     [[A, B], [0, 0]] * dt, which copies that block and scans it for
-    non-finite entries.  This A_d is the top-left block of the augmented
-    exponential, not the ``expm(A, dt)`` that :func:`simulate_forced`
-    steps with; the two can differ in the last bits.
+    non-finite entries.
     """
     big = expm(np.block([[m.a, m.b], [np.zeros((m.p, m.n + m.p))]]), dt)
-    return big[:m.n, :m.n], big[:m.n, m.n:]
+    return big[:m.n, m.n:]
 
 
 def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
@@ -283,8 +283,8 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     exact per-step update x_{k+1} = A_d x_k + B_d u_k, run by
     :func:`propagate`.  A_d is ``expm(A, dt)``, so an identically zero
     input gives exactly the samples of Phi(dt)^k x0, with no rounding from
-    B_d; :func:`simulate_free` is that case.  Only B_d comes from
-    :func:`zoh_discretize`, and only when a held sample u_0 ... u_{N-2} is
+    B_d; :func:`simulate_free` is that case.  B_d comes from
+    :func:`zoh_discretize` only when a held sample u_0 ... u_{N-2} is
     nonzero, so a response without input never exponentiates B (whose
     block may be too large to scale).  The returned traces share the
     input's grid.  This function alone decides whether x0 fits the model:
@@ -299,6 +299,6 @@ def simulate_forced(m: StateSpaceModel, x0, u: Trace) -> tuple[Trace, Trace]:
     v = np.zeros((u.samples.shape[0], m.n))
     v[0] = x0
     if u.samples[:-1].any():
-        v[1:] = u.samples[:-1] @ zoh_discretize(m, u.dt)[1].T
+        v[1:] = u.samples[:-1] @ zoh_discretize(m, u.dt).T
     xs = propagate(expm(m.a, u.dt), v, "simulate")
     return Trace(u.t0, u.dt, xs), Trace(u.t0, u.dt, xs @ m.c.T)

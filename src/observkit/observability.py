@@ -14,7 +14,9 @@ Two tests of the same property:
   reads; a report computes it only when a caller reads its
   ``gramian_ode``.
   Composite Simpson quadrature (:func:`gramian_quadrature`) is a third
-  route, on a grid the caller picks.
+  route, on a grid the caller picks.  Each route only computes its
+  matrix; one rule, shared by all three, refuses a matrix that overflowed
+  or that underflowed to 0 for a nonzero C, and gives the verdict.
 
 An :class:`ObservabilityReport` stores what :func:`analyze` measured,
 the Kalman rank and the doubling Gramian, with the model and tolerance
@@ -177,9 +179,19 @@ def rank_test(m: StateSpaceModel, rel_tol: float | None = None) -> tuple[int, bo
     return r, r == m.n
 
 
-def _finish_gramian(gram: np.ndarray, horizon: float, method: str,
+def _finish_gramian(m: StateSpaceModel, gram: np.ndarray, horizon: float, method: str,
                     pd_tol: float) -> GramianResult:
+    """The one rule that judges a route's raw Gramian: a non-finite one
+    overflowed, and one that is exactly 0 for a nonzero C underflowed, so
+    neither is a verdict; the zero test runs only when the verdict is
+    negative, on ``gram`` itself, since symmetrizing can round subnormals
+    to 0."""
+    if not np.isfinite(gram).all():
+        raise NonFiniteError(f"{method}: the Gramian overflows over [0, {horizon:.6g}]")
     sym, positive_definite, smallest = definiteness(gram, pd_tol)
+    if not (positive_definite or gram.any()) and m.c.any():
+        raise ValueError(f"{method}: C^T C underflows to 0; C has an entry of magnitude "
+                         f"{np.abs(m.c).max():.6g}")
     sym.setflags(write=False)
     return GramianResult(gramian=sym, horizon=horizon, method=method,
                          positive_definite=positive_definite, min_pivot_or_eig=smallest)
@@ -225,7 +237,9 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
         pd_tol: relative eigenvalue threshold for the definiteness verdict.
 
     Raises:
-        ValueError: nonpositive horizon or odd/low interval count.
+        ValueError: nonpositive horizon, odd/low interval count, or a
+            nonzero C whose Gramian underflows to 0.
+        NonFiniteError: a power of Phi(h) or the Gramian sums overflow.
     """
     horizon = as_float(horizon, "horizon", "positive")
     intervals = as_count(intervals, "intervals", 2)
@@ -237,7 +251,7 @@ def gramian_quadrature(m: StateSpaceModel, horizon: float,
     weights[0] = weights[-1] = 1.0 / 3.0
     gram, _ = _weighted_sums(m, h, weights * h, np.zeros((intervals + 1, m.q)),
                              "quadrature")
-    return _finish_gramian(gram, horizon, "quadrature", pd_tol)
+    return _finish_gramian(m, gram, horizon, "quadrature", pd_tol)
 
 
 def gramian_doubling(m: StateSpaceModel, horizon: float,
@@ -258,7 +272,8 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
         ValueError: nonpositive horizon, or a nonzero C whose Gramian
             underflows to 0 (C^T C is 0 when every entry of C is below
             about 1e-162).
-        NonFiniteError: C^T C or the Gramian overflows over [0, T].
+        NonFiniteError: C^T C overflows (checked here, before the block
+            exponential), or the Gramian overflows over [0, T].
     """
     horizon = as_float(horizon, "horizon", "positive")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,13 +294,7 @@ def gramian_doubling(m: StateSpaceModel, horizon: float,
                 if i:  # Phi(2t) only when a doubling reads it, so never after the last
                     phi = phi @ phi
                 gram = gram + phi.T @ gram @ phi
-        elif m.c.any():  # a nonzero C whose Gramian underflowed must not read as C = 0
-            raise ValueError(f"doubling: C^T C underflows to 0; C has an entry of magnitude "
-                             f"{np.abs(m.c).max():.6g}")
-    if not np.isfinite(gram).all():
-        raise NonFiniteError(f"doubling: the Gramian overflows over [0, {horizon:.6g}] "
-                             f"after {k} doublings")
-    return _finish_gramian(gram, horizon, "doubling", pd_tol)
+    return _finish_gramian(m, gram, horizon, "doubling", pd_tol)
 
 
 def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
@@ -296,7 +305,14 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
     This route shares no machinery with :func:`gramian_doubling` or
     :func:`gramian_quadrature`, so agreement with either is a real
     cross-check.  It is a reference, not a fast path: each step is four
-    n x n products and about twenty-five numpy calls.
+    n x n products and about twenty-five numpy calls.  W is judged once,
+    after the last step.
+
+    Raises:
+        ValueError: nonpositive horizon, a step count below 1, or a
+            nonzero C whose Gramian underflows to 0.
+        NonFiniteError: W overflows over [0, T], because the steps are
+            unstable for this model or the Gramian is past the float range.
     """
     horizon = as_float(horizon, "horizon", "positive")
     steps = as_count(steps, "steps", 1)
@@ -315,11 +331,7 @@ def gramian_ode(m: StateSpaceModel, horizon: float, steps: int = 1000,
             k3 = rate(w + 0.5 * k2)
             k4 = rate(w + k3)
             w = w + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            if not np.isfinite(w).all():
-                raise NonFiniteError(f"lyapunov-ode: the Gramian is no longer finite over "
-                                     f"[0, {horizon:.6g}] with {steps} RK4 steps; the steps "
-                                     f"are too long for this model or it grows too fast")
-    return _finish_gramian(w, horizon, "lyapunov-ode", pd_tol)
+    return _finish_gramian(m, w, horizon, "lyapunov-ode", pd_tol)
 
 
 def _free_output(m: StateSpaceModel, y: Trace, u: Trace | None) -> np.ndarray:

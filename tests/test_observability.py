@@ -284,18 +284,38 @@ def test_an_overflowing_c_transpose_c_names_its_route():
                 with pytest.raises(NonFiniteError, match=r"^doubling: C\^T C overflows; C has "
                                                          r"an entry of magnitude 1e\+200$"):
                     route(m, 1.0)
-            with pytest.raises(NonFiniteError, match="^lyapunov-ode:"):
+            with pytest.raises(NonFiniteError, match="^quadrature:"):
+                gramian_quadrature(m, 1.0)
+            with pytest.raises(NonFiniteError, match=r"^lyapunov-ode: the Gramian overflows "
+                                                     r"over \[0, 1\]$"):
                 gramian_ode(m, 1.0)
 
 
-def test_an_underflowing_c_transpose_c_names_its_route():
+@pytest.mark.parametrize("route, method", [
+    (analyze, "doubling"), (gramian_doubling, "doubling"),
+    (gramian_quadrature, "quadrature"), (gramian_ode, "lyapunov-ode"),
+], ids=["analyze", "doubling", "quadrature", "lyapunov-ode"])
+def test_an_underflowing_c_transpose_c_names_its_route(route, method):
     # 1e-200 squared is 0 in floating point: the Gramian would be exactly 0
     # and read as unobservable though the rank test sees rank 2
-    m = make_model([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1e-200, 0.0]])
-    for route in (analyze, gramian_doubling):
-        with pytest.raises(ValueError, match=r"^doubling: C\^T C underflows to 0; C has an "
-                                             r"entry of magnitude 1e-200$"):
-            route(m, 1.0)
+    for c in ([[1e-200, 0.0]], [[0.0, 1e-200]]):
+        m = make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{method}: C\^T C underflows to 0; C has an "
+                                                 r"entry of magnitude 1e-200$"):
+                route(m, 1.0)
+
+
+def test_every_route_keeps_the_zero_gramian_of_a_zero_output_map():
+    # C = 0 is unobservable, not an underflow: each route returns W = 0
+    m = make_model([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], [[0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (gramian_doubling, gramian_quadrature, gramian_ode):
+            g = route(m, 1.0)
+            np.testing.assert_array_equal(g.gramian, np.zeros((2, 2)))
+            assert not g.positive_definite
 
 
 def test_gramian_ode_constant_integrand():
@@ -337,7 +357,8 @@ def test_gramian_ode_instability_names_the_stage():
         warnings.simplefilter("error")
         got, want = gramian_ode(m, 1.0).gramian, gramian_doubling(m, 1.0).gramian
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-        with pytest.raises(NonFiniteError, match=r"lyapunov-ode: .*\[0, 200\] with 1000 RK4"):
+        with pytest.raises(NonFiniteError, match=r"^lyapunov-ode: the Gramian overflows "
+                                                 r"over \[0, 200\]$"):
             gramian_ode(m, 200.0)
 
 
@@ -506,13 +527,15 @@ def test_gramian_ode_agrees_with_doubling(data, n, q, horizon):
     a = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
     c = np.array(data.draw(st.lists(entries, min_size=q * n, max_size=q * n))).reshape(q, n)
     m = make_model(a, np.ones((n, 1)), c)
-    ode = gramian_ode(m, horizon).gramian
     try:
         exact = gramian_doubling(m, horizon).gramian
     except ValueError as exc:  # a nonzero C so small that C^T C underflows
         assert str(exc).startswith("doubling: C^T C underflows to 0"), exc
-        assert np.abs(ode).max() < np.finfo(float).tiny
+        want = str(exc).replace("doubling", "lyapunov-ode", 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            gramian_ode(m, horizon)
         return
+    ode = gramian_ode(m, horizon).gramian
     scale = np.linalg.norm(exact)
     assert np.abs(ode - ode.T).max() <= 1e-15 * scale
     # RK4's global error on a mode of the Lyapunov operator with rate mu is

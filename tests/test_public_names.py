@@ -50,13 +50,20 @@ def test_span_attributes_read_the_report():
 
 
 def test_benchmark_certificate_check_passes_every_certify_case(monkeypatch):
-    # the certify workload's own check, on one cycle of its cases, in-process
+    # the certify workload's own check, on ten cycles of its cases, in-process.
+    # That check lets an inconsistent report pass as indeterminate, so the
+    # construction is asserted here too: a case built unobservable (a
+    # zero-stiffness table, a model hidden from r) fails both tests, and a
+    # grid table passes both
     monkeypatch.syspath_prepend(str(PERFBENCH))
     inputs, workloads = (importlib.import_module(name) for name in ("inputs", "workloads"))
-    for case in inputs.certify_mix(1):
+    for case in (case for seed in range(1, 11) for case in inputs.certify_mix(seed)):
         if case.cardio is not None:
             report = certify_cardio(CardioParams(*case.cardio), inputs.HORIZON)
         else:
             report = analyze(make_model(case.a, case.b, case.c), inputs.HORIZON)
         out = workloads.check_certificate(case, report, workloads.Outcome(0.0))
         assert out.problem is None or out.known, out.problem
+        if not case.expect_observable or case.cardio is not None:
+            verdicts = (report.kalman_observable, report.gramian_observable)
+            assert verdicts == (case.expect_observable,) * 2, case.label
